@@ -13,7 +13,7 @@ from .errors import (PPLatticeError, ConfigError, NumericsError,
 from .model import (LatticeShape, ReservoirSpec, build_reservoir,
                     load_reservoir, shape_for_modes, lattice_edges,
                     spectral_radius)
-from .sampler import (StateSpec, GridSpec, PhaseSampleSet, coherent_state,
+from .sampler import (StateSpec, PhaseSampleSet, coherent_state,
                       thermal_state, squeezed_state, cat_state, sample_state,
                       sample_coherent, sample_thermal, sample_squeezed_vacuum,
                       sample_cat, vacuum_samples, load_samples,

@@ -30,11 +30,10 @@ from .learn import (BASELINE_PAIR_CONFUSED_ACCURACY, BASELINE_UNIFORM_ACCURACY,
                     evaluate, generate_dataset, train_classifier,
                     train_regressor)
 from .model import ReservoirSpec, build_reservoir, load_reservoir, shape_for_modes
-from .oracle import build_state_fock, evolve_master, vacuum_density, wigner_grid
-from .sampler import GridSpec, StateSpec, load_samples, sample_state, vacuum_samples
+from .oracle import MAX_DIM, build_state_fock, evolve_master, vacuum_density, wigner_grid
+from .sampler import StateSpec, load_samples, sample_state, vacuum_samples
 
 ORACLE_MAX_MODES = 2
-ORACLE_MAX_DIM = 4000
 
 
 def _utc_now() -> str:
@@ -142,13 +141,10 @@ def cmd_gen_reservoir(args) -> int:
 def cmd_sample_state(args) -> int:
     out = _out_dir(args)
     state = _state_from_file(args.state)
-    grid = GridSpec(points=args.grid_points, halfwidth=args.grid_halfwidth)
     manifest = RunManifest(command="sample-state", started=_utc_now(),
-                           config={"state": state.to_dict(), "count": args.count,
-                                   "grid_points": args.grid_points,
-                                   "grid_halfwidth": args.grid_halfwidth},
+                           config={"state": state.to_dict(), "count": args.count},
                            seeds={"sampler": args.seed})
-    samples = sample_state(state, args.count, seed=args.seed, grid=grid)
+    samples = sample_state(state, args.count, seed=args.seed)
     path = out / f"{args.name}.samples"
     samples.save(path)
     manifest.add_output(path)
@@ -226,9 +222,9 @@ def cmd_oracle_compare(args) -> int:
             f"{spec.n_modes} modes at d={args.dim} would need a composite "
             f"dimension of {estimate}")
     total = args.dim ** spec.n_modes * (args.source_dim if args.state else 1)
-    if total > ORACLE_MAX_DIM:
+    if total > MAX_DIM:
         raise ConfigError(f"composite dimension {total} exceeds the oracle "
-                          f"limit {ORACLE_MAX_DIM}; lower --dim/--source-dim")
+                          f"limit {MAX_DIM}; lower --dim/--source-dim")
     schedule = _schedule_from_args(args)
     state = _state_from_file(args.state) if args.state else None
     manifest = RunManifest(
@@ -475,10 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--state", required=True, help="YAML state description")
     s.add_argument("--count", type=int, required=True)
     s.add_argument("--name", default="state")
-    s.add_argument("--grid-points", type=int, default=64,
-                   help="cat sampler: grid points per axis")
-    s.add_argument("--grid-halfwidth", type=float, default=None,
-                   help="cat sampler: override the grid halfwidth")
     s.set_defaults(func=cmd_sample_state)
 
     m = sub.add_parser("simulate", help="run a trajectory ensemble")

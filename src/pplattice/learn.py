@@ -388,103 +388,81 @@ def _check_finite_loss(loss: float, epoch: int):
         raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
 
 
+def _classifier_score(weights, bias, features, one_hot):
+    """(cross-entropy, accuracy) of a softmax readout on a whole split."""
+    logits = features @ weights.T + bias
+    hits = np.argmax(logits, axis=1) == np.argmax(one_hot, axis=1)
+    return cross_entropy(softmax(logits), one_hot), float(np.mean(hits))
+
+
+def _regressor_score(weights, bias, features, targets_2d):
+    """(MSE, MSE) of a linear readout on a whole split."""
+    mse = regressor_loss_and_grad(weights, bias, features, targets_2d)[0]
+    return mse, mse
+
+
+def _train(kind: str, dataset: Dataset, y_train: np.ndarray, y_test: np.ndarray,
+           hyper: Hyperparams, loss_and_grad, score, classes=()):
+    """Adam on a linear readout with y_train.shape[1] outputs.
+
+    loss_and_grad(weights, bias, x, y) gives the minibatch loss and gradients;
+    score(weights, bias, x, y) gives (loss, score) on a whole split.  The train
+    curves hold the minibatch loss and the full-split score.
+    """
+    x_train = dataset.features("train")
+    mean, std = _standardize_stats(x_train)
+    xs_train = (x_train - mean) / std
+    xs_test = (dataset.features("test") - mean) / std
+
+    rng = np.random.default_rng(hyper.seed)
+    weights = 0.01 * rng.standard_normal((y_train.shape[1], x_train.shape[1]))
+    bias = np.zeros(y_train.shape[1])
+    opt = _Adam([weights, bias], hyper)
+    curves = {key: np.zeros(hyper.epochs) for key in
+              ("train_loss", "test_loss", "train_score", "test_score")}
+
+    for epoch in range(hyper.epochs):
+        if hyper.batch_size is None or hyper.batch_size >= xs_train.shape[0]:
+            xb, yb = xs_train, y_train
+        else:
+            pick = rng.permutation(xs_train.shape[0])[:hyper.batch_size]
+            xb, yb = xs_train[pick], y_train[pick]
+        loss, gw, gb = loss_and_grad(weights, bias, xb, yb)
+        _check_finite_loss(loss, epoch)
+        opt.step([gw, gb])
+
+        curves["train_loss"][epoch] = loss
+        curves["train_score"][epoch] = score(weights, bias, xs_train, y_train)[1]
+        if xs_test.shape[0]:
+            curves["test_loss"][epoch], curves["test_score"][epoch] = \
+                score(weights, bias, xs_test, y_test)
+
+    model = ReadoutModel(kind=kind, weights=weights, bias=bias,
+                         feature_mean=mean, feature_std=std, classes=classes)
+    return model, TrainingCurves(kind=kind, epoch=np.arange(hyper.epochs), **curves)
+
+
 def train_classifier(dataset: Dataset, hyper: Hyperparams = CLASSIFY_HYPERPARAMS):
     """Softmax readout trained with Adam; returns (model, curves)."""
     if dataset.task != "classify":
         raise ConfigError("train_classifier needs a classification dataset")
     if len(dataset.classes) < 2:
         raise ConfigError("classification needs at least two classes")
-    x_train = dataset.features("train")
-    y_train = dataset.one_hot("train")
-    x_test = dataset.features("test")
-    y_test = dataset.one_hot("test")
-    mean, std = _standardize_stats(x_train)
-    xs_train = (x_train - mean) / std
-    xs_test = (x_test - mean) / std
-    k, n_feat = len(dataset.classes), x_train.shape[1]
-
-    rng = np.random.default_rng(hyper.seed)
-    weights = 0.01 * rng.standard_normal((k, n_feat))
-    bias = np.zeros(k)
-    opt = _Adam([weights, bias], hyper)
-    curves = {key: np.zeros(hyper.epochs) for key in
-              ("train_loss", "test_loss", "train_score", "test_score")}
-    true_train = np.argmax(y_train, axis=1)
-    true_test = np.argmax(y_test, axis=1) if y_test.size else np.zeros(0, int)
-
-    for epoch in range(hyper.epochs):
-        if hyper.batch_size is None or hyper.batch_size >= xs_train.shape[0]:
-            xb, yb = xs_train, y_train
-        else:
-            pick = rng.permutation(xs_train.shape[0])[:hyper.batch_size]
-            xb, yb = xs_train[pick], y_train[pick]
-        loss, gw, gb = classifier_loss_and_grad(weights, bias, xb, yb)
-        _check_finite_loss(loss, epoch)
-        opt.step([gw, gb])
-
-        curves["train_loss"][epoch] = loss
-        pred_train = np.argmax(xs_train @ weights.T + bias, axis=1)
-        curves["train_score"][epoch] = float(np.mean(pred_train == true_train))
-        if xs_test.shape[0]:
-            probs = softmax(xs_test @ weights.T + bias)
-            curves["test_loss"][epoch] = cross_entropy(probs, y_test)
-            curves["test_score"][epoch] = float(np.mean(np.argmax(probs, axis=1) == true_test))
-
-    model = ReadoutModel(kind="classify", weights=weights, bias=bias,
-                         feature_mean=mean, feature_std=std, classes=dataset.classes)
-    return model, TrainingCurves(kind="classify", epoch=np.arange(hyper.epochs),
-                                 train_loss=curves["train_loss"],
-                                 test_loss=curves["test_loss"],
-                                 train_score=curves["train_score"],
-                                 test_score=curves["test_score"])
+    return _train("classify", dataset, dataset.one_hot("train"), dataset.one_hot("test"),
+                  hyper, classifier_loss_and_grad, _classifier_score,
+                  classes=dataset.classes)
 
 
 def train_regressor(dataset: Dataset, hyper: Hyperparams = REGRESS_HYPERPARAMS):
     """Two-output linear readout for zeta; returns (model, curves)."""
     if dataset.task != "predict_squeezing":
         raise ConfigError("train_regressor needs a regression dataset")
-    x_train = dataset.features("train")
-    x_test = dataset.features("test")
     z_train = dataset.targets("train")
     z_test = dataset.targets("test")
     y_train = np.column_stack([z_train.real, z_train.imag])
     y_test = np.column_stack([z_test.real, z_test.imag]) if z_test.size else np.zeros((0, 2))
-    mean, std = _standardize_stats(x_train)
-    xs_train = (x_train - mean) / std
-    xs_test = (x_test - mean) / std
-
-    rng = np.random.default_rng(hyper.seed)
-    weights = 0.01 * rng.standard_normal((2, x_train.shape[1]))
-    bias = np.zeros(2)
-    opt = _Adam([weights, bias], hyper)
-    curves = {key: np.zeros(hyper.epochs) for key in
-              ("train_loss", "test_loss", "train_score", "test_score")}
-
-    for epoch in range(hyper.epochs):
-        if hyper.batch_size is None or hyper.batch_size >= xs_train.shape[0]:
-            xb, yb = xs_train, y_train
-        else:
-            pick = rng.permutation(xs_train.shape[0])[:hyper.batch_size]
-            xb, yb = xs_train[pick], y_train[pick]
-        loss, gw, gb = regressor_loss_and_grad(weights, bias, xb, yb)
-        _check_finite_loss(loss, epoch)
-        opt.step([gw, gb])
-
-        curves["train_loss"][epoch] = loss
-        full_train, _, _ = regressor_loss_and_grad(weights, bias, xs_train, y_train)
-        curves["train_score"][epoch] = full_train
-        if xs_test.shape[0]:
-            test_mse, _, _ = regressor_loss_and_grad(weights, bias, xs_test, y_test)
-            curves["test_loss"][epoch] = test_mse
-            curves["test_score"][epoch] = test_mse
-
-    model = ReadoutModel(kind="regress", weights=weights, bias=bias,
-                         feature_mean=mean, feature_std=std)
-    return model, TrainingCurves(kind="regress", epoch=np.arange(hyper.epochs),
-                                 train_loss=curves["train_loss"],
-                                 test_loss=curves["test_loss"],
-                                 train_score=curves["train_score"],
-                                 test_score=curves["test_score"])
+    return _train("regress", dataset, y_train, y_test, hyper,
+                  regressor_loss_and_grad, _regressor_score)
 
 
 @dataclass(frozen=True, eq=False)

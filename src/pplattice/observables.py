@@ -22,8 +22,9 @@ import numpy as np
 from .errors import ConfigError
 from .sampler import StateSpec
 
-# np.trapz is deprecated in favour of np.trapezoid from numpy 2.0 on
-_trapezoid = getattr(np, "trapezoid", np.trapz)
+# np.trapezoid replaced np.trapz in numpy 2.0 (and 2.4 removed np.trapz);
+# the old name is only looked up where the new one is missing.
+trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
 
 def occupation(alpha, alpha_tilde):
@@ -182,7 +183,7 @@ def feature_vector(series: OccupationSeries, steady: np.ndarray,
         raise ConfigError("feature window needs at least two recorded times")
     # integrate the deviation itself so a series sitting exactly at its steady
     # level yields exact zeros
-    return _trapezoid(series.mean[mask] - steady, t, axis=0)
+    return trapezoid(series.mean[mask] - steady, t, axis=0)
 
 
 @dataclass(frozen=True, eq=False)

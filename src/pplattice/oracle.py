@@ -51,14 +51,13 @@ from scipy.special import eval_genlaguerre
 from .dynamics import Schedule
 from .errors import ConfigError, NumericsError, TruncationError
 from .model import ReservoirSpec
+from .observables import trapezoid
 from .sampler import StateSpec
-
-# np.trapz is deprecated in favour of np.trapezoid from numpy 2.0 on
-_trapezoid = getattr(np, "trapezoid", np.trapz)
 
 TAIL_TOLERANCE = 1e-8       # allowed Fock mass beyond the truncation
 TRACE_LIMIT = 1e-6          # trace drift that aborts a run
 DENSE_SUPEROP_LIMIT = 50    # Hilbert dims up to this use expm of the superoperator
+MAX_DIM = 4000              # largest composite Hilbert dimension the solver accepts
 TAYLOR_THETA = 8.0          # max sub-interval scaled generator norm for the series
 SERIES_EPS = 1e-16          # certified operator-norm tail of the truncated series
 
@@ -147,11 +146,11 @@ def _pure_coefficients(state: StateSpec, count: int) -> np.ndarray:
         mag = abs(state.beta)
         if mag == 0.0:
             coeff = np.zeros(count, dtype=complex)
-            coeff[0] = 1.0 + np.exp(1j * state.theta)
+            coeff[0] = 1.0 + np.exp(1j * state.cat_phase)
             return coeff
         log_mag = n * math.log(mag) - 0.5 * logfact
         phase = np.exp(1j * np.angle(state.beta) * n)
-        branch = 1.0 + np.exp(1j * state.theta) * (-1.0) ** n
+        branch = 1.0 + np.exp(1j * state.cat_phase) * (-1.0) ** n
         return np.exp(log_mag) * phase * branch
     if state.kind == "squeezed_vacuum":
         coeff = np.zeros(count, dtype=complex)
@@ -388,9 +387,9 @@ def evolve_master(rho0: FockDensityMatrix, spec: ReservoirSpec,
     dims = rho0.dims
     source_dim = source0.dims[0] if source0 is not None else None
     total_dim = int(np.prod(dims)) * (source_dim or 1)
-    if total_dim > 4000:
+    if total_dim > MAX_DIM:
         raise ConfigError(
-            f"composite dimension {total_dim} too large for the exact solver (max 4000)")
+            f"composite dimension {total_dim} too large for the exact solver (max {MAX_DIM})")
     segment = schedule.dt * schedule.record_stride
     times = schedule.times
     n = spec.n_modes
@@ -498,7 +497,7 @@ def wigner_grid(rho: FockDensityMatrix, q_grid, p_grid) -> WignerGrid:
         column = _displacement_column(n_idx, m, z)       # (d, Q, P)
         values += parity[m] * np.tensordot(rho.data[m, :], column, axes=(0, 0))
     grid = np.real(values) / math.pi
-    mass = _trapezoid(_trapezoid(grid, p, axis=1), q)
+    mass = trapezoid(trapezoid(grid, p, axis=1), q)
     if abs(mass - 1.0) > 0.01:
         warnings.warn(
             f"Wigner grid mass {mass:.4f} deviates from 1; widen or refine the grid",

@@ -8,9 +8,8 @@ averages reproduce normally ordered moments of the target state,
 Coherent and thermal states use exact recipes with alpha == alpha_tilde.
 Squeezed vacuum uses a four-Gaussian construction whose second moments are
 sinh(r)**2 and -exp(2j*theta)*sinh(r)*cosh(r).  Cat states have no such
-recipe; they are drawn from the canonical distribution, tabulated on a 4-d
-grid over (Re alpha, Im alpha, Re alpha_tilde, Im alpha_tilde) and sampled by
-inverse CDF on the flattened, renormalized table.
+recipe; they are drawn exactly from the canonical distribution by rejection
+from a two-Gaussian envelope (Drummond & Gardiner, J. Phys. A 13, 2353, 1980).
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .errors import ConfigError
 
 STATE_KINDS = ("coherent", "thermal", "squeezed_vacuum", "cat")
 SAMPLE_MAGIC = "#PPSAMPLES v1"
+ROUND_DRAWS = 1 << 18  # envelope draws per cat rejection round; bounds memory only
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,9 @@ class StateSpec:
                 raise ConfigError(f"{name} must be finite")
         if not (math.isfinite(self.beta.real) and math.isfinite(self.beta.imag)):
             raise ConfigError("beta must be finite")
+        if self.kind == "cat" and _cat_weight(self.beta, self.cat_phase) <= 0.0:
+            raise ConfigError(f"cat state |beta> + e^(i {self.cat_phase})|-beta> with "
+                              f"beta = {self.beta} has zero norm")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -93,32 +96,6 @@ def squeezed_state(r: float, theta: float = 0.0) -> StateSpec:
 
 def cat_state(beta, cat_phase: float = 0.0) -> StateSpec:
     return StateSpec(kind="cat", beta=complex(beta), cat_phase=float(cat_phase))
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """4-d tabulation grid for cat sampling.
-
-    Each of the four axes is `points` nodes over [-halfwidth, halfwidth]; by
-    default halfwidth = |beta| + margin, wide enough that the boundary density
-    is far below the 1e-12-of-peak guard.
-    """
-
-    points: int = 64
-    margin: float = 8.0
-    halfwidth: float | None = None
-
-    def __post_init__(self):
-        if self.points < 8:
-            raise ConfigError(f"grid needs at least 8 points per axis, got {self.points}")
-        if self.halfwidth is not None and self.halfwidth <= 0:
-            raise ConfigError("grid halfwidth must be positive")
-        if self.margin <= 0:
-            raise ConfigError("grid margin must be positive")
-
-    def axis(self, beta) -> np.ndarray:
-        half = self.halfwidth if self.halfwidth is not None else abs(beta) + self.margin
-        return np.linspace(-half, half, self.points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,9 +201,15 @@ def sample_squeezed_vacuum(r: float, theta: float, count: int, seed=None) -> Pha
                           state=squeezed_state(r, theta), seed=seed)
 
 
+def _cat_weight(beta, cat_phase: float) -> float:
+    """(1 + e^{-2|beta|^2} cos phase): the cat's norm up to a factor 2, and the
+    acceptance rate of its rejection sampler up to a factor 1/2."""
+    return 1.0 + math.exp(-2.0 * abs(beta) ** 2) * math.cos(cat_phase)
+
+
 def cat_norm_squared(beta, cat_phase: float) -> float:
     """Squared normalization of N(|beta> + e^{i phase}|-beta>)."""
-    return 1.0 / (2.0 * (1.0 + math.exp(-2.0 * abs(beta) ** 2) * math.cos(cat_phase)))
+    return 1.0 / (2.0 * _cat_weight(beta, cat_phase))
 
 
 def cat_canonical_density(alpha, alpha_tilde, beta, cat_phase: float):
@@ -285,77 +268,57 @@ def canonical_density_from_fock(rho, alpha, alpha_tilde):
     return out.reshape(shape)
 
 
-def _cat_table(beta, cat_phase, grid: GridSpec):
-    """Tabulate the cat canonical density on the 4-d grid.
-
-    The density factorizes per axis except for the interference bracket, which
-    is a sum of two rank-1 products; the full table is assembled from per-axis
-    64-vectors, so no transcendental is evaluated on the big grid.
-    """
-    beta = complex(beta)
-    if abs(beta) > 10:
-        raise ConfigError(f"grid tabulation supports |beta| <= 10, got {abs(beta)}")
-    xs = grid.axis(beta)
-    gauss1 = np.exp(-xs ** 2 / 2.0)
-    # e^{mu_bar beta} = prod of per-axis factors: exp(beta x/2) on the two real
-    # axes, exp(-1j beta y/2) on the two imaginary axes.
-    fx_p = np.exp(beta * xs / 2.0)
-    fy_p = np.exp(-1j * beta * xs / 2.0)
-    fx_m = np.exp(-beta * xs / 2.0)
-    fy_m = np.exp(1j * beta * xs / 2.0)
-    # Axis order: (Re a, Im a, Re at, Im at).
-    plus = (fx_p[:, None, None, None] * fy_p[None, :, None, None]
-            * fx_p[None, None, :, None] * fy_p[None, None, None, :])
-    plus += np.exp(1j * cat_phase) * (fx_m[:, None, None, None] * fy_m[None, :, None, None]
-                                      * fx_m[None, None, :, None] * fy_m[None, None, None, :])
-    table = np.abs(plus) ** 2
-    del plus
-    g2 = gauss1[:, None] * gauss1[None, :]
-    table *= g2[:, :, None, None]
-    table *= g2[None, None, :, :]
-    table *= math.exp(-abs(beta) ** 2) * cat_norm_squared(beta, cat_phase) / (4.0 * np.pi ** 2)
-    return xs, table
+def _cat_round(rng, beta: complex, cat_phase: float, draws: int):
+    """One rejection round: `draws` envelope samples and the mask of those kept."""
+    centre = np.where(rng.random(draws) < 0.5, beta, -beta)
+    g = rng.standard_normal((4, draws))
+    alpha = centre + (g[0] + 1j * g[1])
+    alpha_tilde = centre + (g[2] + 1j * g[3])
+    x = np.conj(alpha + alpha_tilde) * (beta / 2.0)
+    # Scale both exponentials by exp(-|Re x|) so neither overflows.
+    ax = np.abs(x.real)
+    plus = np.exp(x - ax)
+    minus = np.exp(-x - ax)
+    accept = np.abs(plus + np.exp(1j * cat_phase) * minus) ** 2 \
+        / (2.0 * (np.abs(plus) ** 2 + np.abs(minus) ** 2))
+    return alpha, alpha_tilde, rng.random(draws) < accept
 
 
-def sample_cat(beta, cat_phase: float, count: int, seed=None,
-               grid: GridSpec = GridSpec()) -> PhaseSampleSet:
-    """Draw cat-state samples by inverse CDF on the tabulated canonical density.
+def sample_cat(beta, cat_phase: float, count: int, seed=None) -> PhaseSampleSet:
+    """Draw cat-state samples exactly, by rejection from a Gaussian envelope.
 
-    Refuses grids whose boundary still carries more than 1e-12 of the peak
-    density (undersized halfwidth would bias the tails).
+    The canonical density (cat_canonical_density) is G |e^x + e^{i phase} e^{-x}|^2
+    with x = conj(alpha + alpha_tilde) beta / 2.  Since |a + b|^2 <= 2(|a|^2 + |b|^2),
+    it is bounded by a multiple of an equal mixture of two complex Gaussians
+    centred at alpha = alpha_tilde = +beta and -beta, unit variance per real
+    component.  A draw from the mixture is kept with probability
+
+        |e^x + e^{i phase} e^{-x}|^2 / (2 (|e^x|^2 + |e^{-x}|^2)),
+
+    so kept draws follow the density exactly; on average a fraction
+    (1 + e^{-2|beta|^2} cos phase) / 2 is kept.  Draws come in rounds sized from
+    that rate, at most ROUND_DRAWS each, all from one generator, so the samples
+    depend only on (beta, cat_phase, count, seed).
     """
     _check_count(count)
-    xs, table = _cat_table(beta, cat_phase, grid)
-    peak = float(table.max())
-    if peak <= 0:
-        raise ConfigError("cat density table is identically zero; grid misconfigured")
-    boundary = max(
-        float(table[0].max()), float(table[-1].max()),
-        float(table[:, 0].max()), float(table[:, -1].max()),
-        float(table[:, :, 0].max()), float(table[:, :, -1].max()),
-        float(table[..., 0].max()), float(table[..., -1].max()),
-    )
-    if boundary > 1e-12 * peak:
-        raise ConfigError(
-            "cat grid too small: boundary density is "
-            f"{boundary / peak:.3e} of the peak (limit 1e-12); "
-            "increase halfwidth/margin or points")
-    flat = table.ravel()
-    cdf = np.cumsum(flat)
-    cdf /= cdf[-1]
+    state = cat_state(beta, cat_phase)
+    rate = _cat_weight(state.beta, cat_phase) / 2.0
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    idx = np.searchsorted(cdf, rng.random(count), side="right")
-    ia, ja, ib, jb = np.unravel_index(idx, table.shape)
-    return PhaseSampleSet(
-        alpha=xs[ia] + 1j * xs[ja],
-        alpha_tilde=xs[ib] + 1j * xs[jb],
-        state=cat_state(beta, cat_phase),
-        seed=seed,
-    )
+    alphas, alpha_tildes = [], []
+    need = count
+    while need > 0:
+        draws = min(ROUND_DRAWS, math.ceil(1.1 * need / rate) + 16)
+        alpha, alpha_tilde, keep = _cat_round(rng, state.beta, cat_phase, draws)
+        kept = np.flatnonzero(keep)[:need]
+        alphas.append(alpha[kept])
+        alpha_tildes.append(alpha_tilde[kept])
+        need -= kept.size
+    return PhaseSampleSet(alpha=np.concatenate(alphas),
+                          alpha_tilde=np.concatenate(alpha_tildes),
+                          state=state, seed=seed)
 
 
-def sample_state(state: StateSpec, count: int, seed=None,
-                 grid: GridSpec = GridSpec()) -> PhaseSampleSet:
+def sample_state(state: StateSpec, count: int, seed=None) -> PhaseSampleSet:
     """Dispatch to the sampler for `state.kind`."""
     if state.kind == "coherent":
         out = sample_coherent(state.beta, count)
@@ -364,7 +327,7 @@ def sample_state(state: StateSpec, count: int, seed=None,
     elif state.kind == "squeezed_vacuum":
         out = sample_squeezed_vacuum(state.r, state.theta, count, seed=seed)
     else:
-        out = sample_cat(state.beta, state.cat_phase, count, seed=seed, grid=grid)
+        out = sample_cat(state.beta, state.cat_phase, count, seed=seed)
     return out
 
 

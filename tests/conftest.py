@@ -27,3 +27,14 @@ def plain_se(values):
     values = np.asarray(values)
     n = values.shape[0]
     return float(np.std(values, ddof=1) / np.sqrt(n))
+
+
+def pytest_collection_modifyitems(items):
+    """Run the acceptance gate after every other test.
+
+    The gate's desk-scale criteria take about twenty minutes; the rest of the
+    suite takes under half a minute.  Putting the gate last means a run that
+    is cut short still reports every unit test.  The sort is stable, so the
+    order within each group is unchanged.
+    """
+    items.sort(key=lambda item: item.path.name == "test_acceptance.py")

@@ -116,11 +116,11 @@ def test_sample_state_squeezed_occupation_matches_formula(tmp_path, capsys):
     assert abs(value - math.sinh(1.0) ** 2) < 3 * se
 
 
-def test_sample_state_cat_undersized_grid_exits_2(tmp_path, capsys):
-    state = write_yaml(tmp_path / "state.yaml", {"kind": "cat", "beta": [2.0, 0.0]})
+def test_sample_state_zero_norm_cat_exits_2(tmp_path, capsys):
+    state = write_yaml(tmp_path / "state.yaml",
+                       {"kind": "cat", "beta": [0.0, 0.0], "cat_phase": math.pi})
     code, _, err = run_cli(capsys, "--out-dir", str(tmp_path), "--seed", "1",
-                           "sample-state", "--state", state, "--count", "10",
-                           "--grid-halfwidth", "2.0")
+                           "sample-state", "--state", state, "--count", "10")
     assert code == 2
     record = json.loads(err)
     assert record["error"] == "ConfigError"

@@ -164,6 +164,21 @@ def test_linear_targets_are_learned_exactly():
     assert curves.train_loss[-1] < curves.train_loss[0]
 
 
+def test_adam_converges_to_the_least_squares_readout():
+    rng = np.random.default_rng(5)
+    features = rng.standard_normal((40, 3)) * [1.0, 3.0, 0.5] + [0.0, 2.0, -1.0]
+    targets = features @ np.array([0.5 + 0.1j, -0.2 + 0.4j, 0.3 - 0.6j]) + (0.1 + 0.2j) \
+        + 0.3 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+    dataset = regression_dataset(targets, features)
+    model, _ = train_regressor(dataset, Hyperparams(learning_rate=0.01, epochs=3000, seed=4))
+    design = np.column_stack([model.transform(dataset.features("train")),
+                              np.ones(len(dataset.train_indices))])
+    z = dataset.targets("train")
+    solution, *_ = np.linalg.lstsq(design, np.column_stack([z.real, z.imag]), rcond=None)
+    assert np.max(np.abs(model.weights - solution[:-1].T)) < 1e-8
+    assert np.max(np.abs(model.bias - solution[-1])) < 1e-8
+
+
 def test_constant_targets_converge_to_bias():
     rng = np.random.default_rng(11)
     features = rng.standard_normal((60, 4))

@@ -9,10 +9,9 @@ from pplattice.dynamics import Schedule, build_single_mode, run_ensemble
 from pplattice.errors import ConfigError
 from pplattice.model import build_reservoir, shape_for_modes
 from pplattice.observables import (FeatureRecord, OccupationSeries, feature_vector,
-                                   occupation, series_from_csv, steady_occupations)
+                                   occupation, series_from_csv, steady_occupations,
+                                   trapezoid)
 from pplattice.sampler import coherent_state, vacuum_samples
-
-_trapezoid = getattr(np, "trapezoid", np.trapz)
 
 
 def synthetic_series(times, mean, injection_time=None, stderr=None):
@@ -115,7 +114,7 @@ def test_vacuum_input_leaves_features_at_zero_within_noise():
     steady = steady_occupations(series)
     features = feature_vector(series, steady)
     mask = series.times >= schedule.t_relax - 1e-12
-    integrated_se = _trapezoid(series.stderr[mask], series.times[mask], axis=0)
+    integrated_se = trapezoid(series.stderr[mask], series.times[mask], axis=0)
     assert np.all(np.abs(features) < 3.0 * (integrated_se + 1e-12))
 
 

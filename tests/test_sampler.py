@@ -7,8 +7,8 @@ import pytest
 
 from conftest import plain_se
 from pplattice.errors import ConfigError
-from pplattice.oracle import build_state_fock, expect_occupation
-from pplattice.sampler import (GridSpec, StateSpec, canonical_density_from_fock,
+from pplattice.oracle import build_state_fock, destroy, expect_occupation
+from pplattice.sampler import (StateSpec, _cat_round, canonical_density_from_fock,
                                cat_canonical_density, cat_state, coherent_state,
                                estimate_moment, load_samples, mean_occupation,
                                sample_cat, sample_coherent, sample_squeezed_vacuum,
@@ -123,8 +123,9 @@ def test_canonical_density_from_fock_matches_coherent_closed_form():
                          - closed)) < 1e-8
 
 
-def test_cat_density_cross_validates_against_fock_form():
-    beta, phase = 1.2, 0.0
+@pytest.mark.parametrize("phase", [0.0, math.pi / 2, math.pi])
+def test_cat_density_cross_validates_against_fock_form(phase):
+    beta = 1.2
     rho = build_state_fock(cat_state(beta, phase), 30)
     rng = np.random.default_rng(21)
     alpha = 1.5 * (rng.standard_normal(30) + 1j * rng.standard_normal(30))
@@ -136,13 +137,33 @@ def test_cat_density_cross_validates_against_fock_form():
 
 # -- cat sampling ---------------------------------------------------------------
 
-def test_cat_occupation_matches_fock_oracle():
-    beta = 1.2
-    samples = sample_cat(beta, 0.0, 100_000, seed=2)
+CAT_BETAS = [0.5, 1.2, 2.0 * np.exp(0.4j)]
+CAT_PHASES = [0.0, math.pi / 2, math.pi]
+
+
+@pytest.mark.parametrize("phase", CAT_PHASES)
+@pytest.mark.parametrize("beta", CAT_BETAS)
+def test_cat_occupation_matches_fock_oracle(beta, phase):
+    samples = sample_cat(beta, phase, 100_000, seed=2)
+    rho = build_state_fock(cat_state(beta, phase), 30)
+    overlap = math.exp(-2.0 * abs(beta) ** 2) * math.cos(phase)
+    oracle = expect_occupation(rho)
+    assert oracle == pytest.approx(abs(beta) ** 2 * (1 - overlap) / (1 + overlap), abs=1e-10)
     value, se = mean_occupation(samples)
-    oracle = expect_occupation(build_state_fock(cat_state(beta), 25))
-    assert oracle == pytest.approx(beta ** 2 * math.tanh(beta ** 2), abs=1e-10)
-    assert abs(value - oracle) < 3.0 * se
+    assert abs(value - oracle) < 4.0 * se
+    b = destroy(30)
+    oracle_b2 = np.trace(rho.data @ b @ b)
+    value_b2, se_b2 = estimate_moment(samples, 2, 0)
+    assert abs(value_b2 - oracle_b2) < 4.0 * se_b2
+
+
+@pytest.mark.parametrize("phase", CAT_PHASES)
+@pytest.mark.parametrize("beta", CAT_BETAS)
+def test_cat_acceptance_rate_matches_closed_form(beta, phase):
+    draws = 200_000
+    _, _, keep = _cat_round(np.random.default_rng(17), complex(beta), phase, draws)
+    rate = (1.0 + math.exp(-2.0 * abs(beta) ** 2) * math.cos(phase)) / 2.0
+    assert abs(keep.mean() - rate) < 4.0 * math.sqrt(rate * (1.0 - rate) / draws)
 
 
 def test_cat_with_zero_amplitude_is_vacuum_statistics():
@@ -161,11 +182,6 @@ def test_cat_real_quadrature_is_bimodal():
     assert lobe_hi > 0.2
     assert lobe_lo > 0.2
     assert middle < 0.5 * min(lobe_hi, lobe_lo)
-
-
-def test_cat_grid_too_small_is_refused():
-    with pytest.raises(ConfigError):
-        sample_cat(1.2, 0.0, 10, seed=0, grid=GridSpec(points=32, halfwidth=2.0))
 
 
 # -- generic dispatch, determinism, physicality ---------------------------------
@@ -227,5 +243,7 @@ def test_state_spec_validation():
         StateSpec(kind="thermal", nbar=-1.0)
     with pytest.raises(ConfigError):
         StateSpec(kind="gaussian")
+    with pytest.raises(ConfigError):
+        cat_state(0.0, math.pi)
     with pytest.raises(ConfigError):
         sample_coherent(1.0, 0)
