@@ -27,12 +27,20 @@ z^2/6), z = tau D_E.
 
 The run is split into a relaxation phase (f=0: source frozen, reservoir
 relaxes under its drive) and an injection phase (f=1: cascade open, source
-decaying); f only ever takes the values 0 and 1.
+decaying); f only ever takes the values 0 and 1.  While f=0 the reservoir
+cannot see the source (the cascade factorization of Gardiner, PRL 70, 2269,
+1993 and Carmichael, PRL 70, 2273, 1993), so relax_ensemble integrates that
+phase once and run_ensemble(relaxed=...) resumes from it at injection.
 
-Reproducibility: trajectory i draws its noise from an own PCG64 stream seeded
-by (root seed, i), in fixed 128-step slabs; ensemble reduction runs over
-fixed 512-trajectory blocks combined in index order, so results are
-bit-identical regardless of how work is partitioned.
+Reproducibility: trajectory i of an ensemble seeded b draws its noise from an
+own PCG64 stream seeded by b + (i,), in fixed 128-step slabs counted from the
+run's first step; ensemble reduction runs over fixed 512-trajectory blocks
+combined in index order, so results are bit-identical regardless of how work
+is partitioned.  Dataset record (c, i) under root seed r samples its input
+from r + (1, c, i) and integrates its injection phase from r + (2, c, i);
+all records resume from one relaxation seeded r + (3,), so they share its
+Monte Carlo error (common random numbers) while each record's estimator
+keeps its distribution.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .model import ReservoirSpec, build_reservoir
+from .model import ReservoirSpec
 from .observables import OccupationSeries
 from .sampler import PhaseSampleSet, vacuum_samples
 
@@ -119,39 +127,10 @@ class PhaseSamplePair:
     source_tilde: complex = 0j
 
 
-@dataclass(frozen=True)
-class NoiseDraw:
-    """One step's noise, already scaled to variance 1/tau per entry."""
-
-    xi: np.ndarray        # (N,) real
-    xi_tilde: np.ndarray  # (N,) real
-
-
-def draw_noise(rng: np.random.Generator, n_modes: int, tau: float) -> NoiseDraw:
-    scale = 1.0 / math.sqrt(tau)
-    return NoiseDraw(xi=rng.standard_normal(n_modes) * scale,
-                     xi_tilde=rng.standard_normal(n_modes) * scale)
-
-
-@dataclass(frozen=True)
-class SplitDerivatives:
-    """Exponential/residual split of the drift at one phase-space point."""
-
-    exp_alpha: np.ndarray
-    res_alpha: np.ndarray
-    exp_alpha_tilde: np.ndarray
-    res_alpha_tilde: np.ndarray
-    exp_source: complex
-    res_source: complex = 0j
-
-
 class _PhaseCoeffs:
     """Constant coefficient arrays of one schedule phase (f fixed to 0 or 1)."""
 
     def __init__(self, spec: ReservoirSpec, f: int):
-        if f not in (0, 1):
-            raise ConfigError(f"envelope f must be 0 or 1, got {f}")
-        self.f = f
         self.kerr = spec.kerr
         self.base = 1j * spec.detuning - spec.loss / 2.0 + 0.5j * spec.kerr
         self.noise_coeff = math.sqrt(abs(spec.kerr)) * np.exp(-0.25j * np.pi)
@@ -212,41 +191,6 @@ def _step_arrays(coeffs: _PhaseCoeffs, tau: float, alpha, alpha_tilde, source, s
             source_tilde * decay)
 
 
-def deriv_split(pair: PhaseSamplePair, spec: ReservoirSpec, f: int,
-                noise: NoiseDraw) -> SplitDerivatives:
-    """Exponential/residual drift split at a single phase-space point."""
-    coeffs = _PhaseCoeffs(spec, f)
-    batch = lambda v: np.asarray(v, dtype=complex)[None, :]
-    d_exp_a, d_res_a, d_exp_t, d_res_t = _derivs(
-        coeffs, batch(pair.alpha), batch(pair.alpha_tilde),
-        np.array([pair.source]), np.array([pair.source_tilde]),
-        np.asarray(noise.xi) * coeffs.noise_coeff,
-        np.asarray(noise.xi_tilde) * coeffs.noise_coeff)
-    return SplitDerivatives(
-        exp_alpha=d_exp_a[0], res_alpha=d_res_a[0],
-        exp_alpha_tilde=d_exp_t[0], res_alpha_tilde=d_res_t[0],
-        exp_source=complex(coeffs.source_exp))
-
-
-def step_semi_implicit(pair: PhaseSamplePair, spec: ReservoirSpec, tau: float, f: int,
-                       noise: NoiseDraw, iterations: int = MIDPOINT_ITERATIONS) -> PhaseSamplePair:
-    """Advance one trajectory by one step."""
-    if tau <= 0:
-        raise ConfigError(f"step size must be positive, got {tau}")
-    coeffs = _PhaseCoeffs(spec, f)
-    alpha, alpha_tilde, source, source_tilde = _step_arrays(
-        coeffs, tau,
-        np.asarray(pair.alpha, dtype=complex)[None, :],
-        np.asarray(pair.alpha_tilde, dtype=complex)[None, :],
-        np.array([pair.source], dtype=complex),
-        np.array([pair.source_tilde], dtype=complex),
-        np.asarray(noise.xi) * coeffs.noise_coeff,
-        np.asarray(noise.xi_tilde) * coeffs.noise_coeff,
-        iterations)
-    return PhaseSamplePair(alpha=alpha[0], alpha_tilde=alpha_tilde[0],
-                           source=complex(source[0]), source_tilde=complex(source_tilde[0]))
-
-
 # ---------------------------------------------------------------------------
 # ensemble integration
 
@@ -265,13 +209,20 @@ def _trajectory_generators(base: tuple, start: int, count: int):
 
 
 class _BlockRun:
-    """Integrate one block of trajectories over the full schedule."""
+    """Integrate one block of trajectories over schedule steps [start, stop).
+
+    start must be a recorded step; the default range is the full schedule.
+    Rows whose `alive` entry is False count as diverged from the start.
+    """
 
     def __init__(self, spec: ReservoirSpec, schedule: Schedule, alpha0, alpha_tilde0,
                  source0, source_tilde0, generators, threshold: float,
-                 keep_amplitudes: bool = False):
+                 keep_amplitudes: bool = False, start: int = 0, stop: int | None = None,
+                 alive=None):
         self.spec = spec
         self.schedule = schedule
+        self.start = start
+        self.stop = schedule.n_total if stop is None else stop
         n = spec.n_modes
         s = alpha0.shape[0]
         self.coeffs = (_PhaseCoeffs(spec, 0), _PhaseCoeffs(spec, 1))
@@ -281,9 +232,9 @@ class _BlockRun:
         self.source_tilde = source_tilde0.astype(complex).copy()
         self.generators = generators
         self.threshold = threshold
-        self.alive = np.ones(s, dtype=bool)
+        self.alive = np.ones(s, dtype=bool) if alive is None else alive.copy()
         self.diverged_at = np.full(s, np.nan)
-        t_rec = schedule.times.shape[0]
+        t_rec = (self.stop - start) // schedule.record_stride + 1
         self.occupations = np.zeros((s, t_rec, n))
         self.source_occupations = np.zeros((s, t_rec))
         self.keep_amplitudes = keep_amplitudes
@@ -300,14 +251,13 @@ class _BlockRun:
         tau = sched.dt
         scale = 1.0 / math.sqrt(tau)
         noise_buf = np.empty((s, NOISE_SLAB_STEPS, 2 * n))
-        rec = 0
-        self._record(rec)
-        rec += 1
+        self._record(0)
+        rec = 1
         with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-            for k in range(sched.n_total):
-                slab_pos = k % NOISE_SLAB_STEPS
+            for k in range(self.start, self.stop):
+                slab_pos = (k - self.start) % NOISE_SLAB_STEPS
                 if slab_pos == 0:
-                    length = min(NOISE_SLAB_STEPS, sched.n_total - k)
+                    length = min(NOISE_SLAB_STEPS, self.stop - k)
                     for i, gen in enumerate(self.generators):
                         noise_buf[i, :length] = gen.standard_normal((length, 2 * n))
                 coeffs = self.coeffs[0] if k < sched.n_relax else self.coeffs[1]
@@ -356,11 +306,6 @@ class TrajectoryRecord:
     diverged: bool
     diverged_at: float | None
 
-    def pair(self, index: int) -> PhaseSamplePair:
-        return PhaseSamplePair(
-            alpha=self.alpha[index], alpha_tilde=self.alpha_tilde[index],
-            source=complex(self.source[index]), source_tilde=complex(self.source_tilde[index]))
-
 
 def evolve_trajectory(initial: PhaseSamplePair, spec: ReservoirSpec, schedule: Schedule,
                       seed=None, index: int = 0,
@@ -385,34 +330,44 @@ def evolve_trajectory(initial: PhaseSamplePair, spec: ReservoirSpec, schedule: S
         diverged=diverged, diverged_at=float(run.diverged_at[0]) if diverged else None)
 
 
-def run_ensemble(spec: ReservoirSpec, source_samples: PhaseSampleSet, schedule: Schedule,
-                 seed=None, *, threshold: float = DEFAULT_THRESHOLD) -> OccupationSeries:
-    """Ensemble occupation statistics: source sample i drives trajectory i.
+@dataclass(frozen=True, eq=False)
+class RelaxedStart:
+    """Reservoir ensemble at the injection time, relaxed once from vacuum.
 
-    Reservoir modes start from vacuum (alpha = alpha_tilde = 0); the source
-    pair is installed at t=0 and stays frozen through the relaxation phase.
-    Diverged trajectories are excluded from the averages entirely; if all
-    diverge, raises DivergenceError.
+    Rows that diverged while relaxing are zero and dead in `alive`; `series`
+    holds the relaxation-phase occupations (None if no trajectory survived).
     """
-    total = len(source_samples)
-    base = _seed_base(seed)
-    times = schedule.times
-    n = spec.n_modes
-    sums = np.zeros((times.shape[0], n))
-    sq_sums = np.zeros_like(sums)
-    lo = np.full_like(sums, np.inf)
-    hi = np.full_like(sums, -np.inf)
-    src_sums = np.zeros(times.shape[0])
-    kept = 0
-    for start in range(0, total, BLOCK_TRAJECTORIES):
-        stop = min(start + BLOCK_TRAJECTORIES, total)
-        count = stop - start
-        run = _BlockRun(
-            spec, schedule,
-            np.zeros((count, n), dtype=complex), np.zeros((count, n), dtype=complex),
-            source_samples.alpha[start:stop], source_samples.alpha_tilde[start:stop],
-            _trajectory_generators(base, start, count),
-            threshold).run()
+
+    alpha: np.ndarray                 # (S, N) complex
+    alpha_tilde: np.ndarray           # (S, N) complex
+    alive: np.ndarray                 # (S,) bool
+    series: OccupationSeries | None
+
+
+def _vacuum_start(trajectories: int, n_modes: int) -> RelaxedStart:
+    vacuum = np.zeros((trajectories, n_modes), dtype=complex)
+    return RelaxedStart(alpha=vacuum, alpha_tilde=vacuum,
+                        alive=np.ones(trajectories, dtype=bool), series=None)
+
+
+def _block_runs(spec, schedule, initial: RelaxedStart, source0, source_tilde0,
+                base: tuple, threshold: float, start: int, stop: int):
+    """Integrate fixed 512-trajectory blocks in index order, yielding each run."""
+    total = initial.alive.shape[0]
+    for lo in range(0, total, BLOCK_TRAJECTORIES):
+        hi = min(lo + BLOCK_TRAJECTORIES, total)
+        yield _BlockRun(
+            spec, schedule, initial.alpha[lo:hi], initial.alpha_tilde[lo:hi],
+            source0[lo:hi], source_tilde0[lo:hi],
+            _trajectory_generators(base, lo, hi - lo), threshold,
+            start=start, stop=stop, alive=initial.alive[lo:hi]).run()
+
+
+def _ensemble_series(runs, times, total: int, injection_time: float) -> OccupationSeries | None:
+    """Moments over the surviving trajectories of `runs`; None if none survived."""
+    sums = sq_sums = src_sums = 0.0
+    lo, hi, kept = np.inf, -np.inf, 0
+    for run in runs:
         occ = run.occupations[run.alive]
         if occ.shape[0]:
             sums += occ.sum(axis=0)
@@ -422,8 +377,7 @@ def run_ensemble(spec: ReservoirSpec, source_samples: PhaseSampleSet, schedule: 
             src_sums += run.source_occupations[run.alive].sum(axis=0)
             kept += occ.shape[0]
     if kept == 0:
-        raise DivergenceError(
-            f"all {total} trajectories diverged (threshold {threshold:g})")
+        return None
     mean = sums / kept
     if kept > 1:
         var = np.maximum(sq_sums - kept * mean ** 2, 0.0) / (kept - 1)
@@ -435,8 +389,57 @@ def run_ensemble(spec: ReservoirSpec, source_samples: PhaseSampleSet, schedule: 
         times=times, mean=mean, stderr=stderr,
         divergence_fraction=(total - kept) / total,
         n_trajectories=total,
-        injection_time=schedule.t_relax,
+        injection_time=injection_time,
         source_occupation=src_sums / kept)
+
+
+def relax_ensemble(spec: ReservoirSpec, schedule: Schedule, trajectories: int,
+                   seed=None, threshold: float = DEFAULT_THRESHOLD) -> RelaxedStart:
+    """Integrate the relaxation phase (f = 0) of `trajectories` vacuum-start
+    reservoir trajectories, for any number of injections to resume from."""
+    if trajectories < 1:
+        raise ConfigError(f"trajectory count must be >= 1, got {trajectories}")
+    vacuum = _vacuum_start(trajectories, spec.n_modes)
+    runs = list(_block_runs(spec, schedule, vacuum, vacuum.alpha[:, 0], vacuum.alpha[:, 0],
+                            _seed_base(seed), threshold, 0, schedule.n_relax))
+    alive = np.concatenate([run.alive for run in runs])
+    return RelaxedStart(
+        alpha=np.where(alive[:, None], np.concatenate([run.alpha for run in runs]), 0),
+        alpha_tilde=np.where(alive[:, None],
+                             np.concatenate([run.alpha_tilde for run in runs]), 0),
+        alive=alive,
+        series=_ensemble_series(runs, schedule.times[:schedule.injection_index + 1],
+                                trajectories, schedule.t_relax))
+
+
+def run_ensemble(spec: ReservoirSpec, source_samples: PhaseSampleSet, schedule: Schedule,
+                 seed=None, *, threshold: float = DEFAULT_THRESHOLD,
+                 relaxed: RelaxedStart | None = None) -> OccupationSeries:
+    """Ensemble occupation statistics: source sample i drives trajectory i.
+
+    Reservoir modes start from vacuum (alpha = alpha_tilde = 0); the source
+    pair is installed at t=0 and stays frozen through the relaxation phase.
+    With `relaxed` (from relax_ensemble on the same spec and schedule),
+    trajectory i resumes from relaxed row i at the injection time instead,
+    and the series covers the recorded times from t_relax on.  Diverged
+    trajectories, also those lost while relaxing, are excluded from the
+    averages entirely; if all diverge, raises DivergenceError.
+    """
+    total = len(source_samples)
+    start = 0 if relaxed is None else schedule.n_relax
+    initial = _vacuum_start(total, spec.n_modes) if relaxed is None else relaxed
+    if initial.alpha.shape != (total, spec.n_modes):
+        raise ConfigError(f"relaxed start has shape {initial.alpha.shape}, "
+                          f"expected ({total}, {spec.n_modes})")
+    runs = _block_runs(spec, schedule, initial, source_samples.alpha,
+                       source_samples.alpha_tilde, _seed_base(seed), threshold,
+                       start, schedule.n_total)
+    series = _ensemble_series(runs, schedule.times[start // schedule.record_stride:],
+                              total, schedule.t_relax)
+    if series is None:
+        raise DivergenceError(
+            f"all {total} trajectories diverged (threshold {threshold:g})")
+    return series
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 import yaml
 
-from .dynamics import Schedule, run_ensemble, _seed_base
+from .dynamics import RelaxedStart, Schedule, relax_ensemble, run_ensemble, _seed_base
 from .errors import ConfigError, DivergenceError
 from .model import ReservoirSpec
 from .observables import FeatureRecord, feature_vector, steady_occupations
@@ -376,18 +376,6 @@ class _Adam:
             p -= h.learning_rate * m_hat / (np.sqrt(v_hat) + h.eps)
 
 
-def _standardize_stats(train_features: np.ndarray):
-    mean = train_features.mean(axis=0)
-    std = train_features.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    return mean, std
-
-
-def _check_finite_loss(loss: float, epoch: int):
-    if not math.isfinite(loss):
-        raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
-
-
 def _classifier_score(weights, bias, features, one_hot):
     """(cross-entropy, accuracy) of a softmax readout on a whole split."""
     logits = features @ weights.T + bias
@@ -410,7 +398,8 @@ def _train(kind: str, dataset: Dataset, y_train: np.ndarray, y_test: np.ndarray,
     curves hold the minibatch loss and the full-split score.
     """
     x_train = dataset.features("train")
-    mean, std = _standardize_stats(x_train)
+    mean, std = x_train.mean(axis=0), x_train.std(axis=0)
+    std[std < 1e-12] = 1.0
     xs_train = (x_train - mean) / std
     xs_test = (dataset.features("test") - mean) / std
 
@@ -428,7 +417,8 @@ def _train(kind: str, dataset: Dataset, y_train: np.ndarray, y_test: np.ndarray,
             pick = rng.permutation(xs_train.shape[0])[:hyper.batch_size]
             xb, yb = xs_train[pick], y_train[pick]
         loss, gw, gb = loss_and_grad(weights, bias, xb, yb)
-        _check_finite_loss(loss, epoch)
+        if not math.isfinite(loss):
+            raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
         opt.step([gw, gb])
 
         curves["train_loss"][epoch] = loss
@@ -530,18 +520,19 @@ def _draw_state(task: str, label: str, rng: np.random.Generator) -> tuple[StateS
     raise ConfigError(f"no parameter range for label {label!r}")
 
 
-def _one_record(spec: ReservoirSpec, schedule: Schedule, state: StateSpec,
-                label: str, target, trajectories: int, sample_seed, run_seed,
-                threshold: float) -> FeatureRecord:
+def _one_record(spec: ReservoirSpec, schedule: Schedule, relaxed: RelaxedStart,
+                state: StateSpec, label: str, target, trajectories: int, sample_seed,
+                run_seed, threshold: float) -> FeatureRecord:
     samples = sample_state(state, trajectories, seed=sample_seed)
     try:
         series = run_ensemble(spec, samples, schedule, seed=run_seed,
-                              threshold=threshold)
+                              threshold=threshold, relaxed=relaxed)
     except DivergenceError:
         return FeatureRecord(features=np.zeros(spec.n_modes), label=label,
                              state=state, target=target,
                              divergence_fraction=1.0, flagged=True)
-    steady = steady_occupations(series)
+    # a survivor here survived the relaxation, so relaxed.series exists
+    steady = steady_occupations(relaxed.series)
     features = feature_vector(series, steady)
     frac = float(series.divergence_fraction)
     return FeatureRecord(features=features, label=label, state=state,
@@ -554,15 +545,20 @@ def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
                      seed=None, threshold: float = 1e10, workers: int = 1) -> Dataset:
     """Sample input states, run the reservoir, and assemble feature records.
 
-    For classification train_count/test_count are per class.  Record seeds
-    are derived from the record's position, so the dataset is reproducible
-    and independent of generation order and worker count.
+    For classification train_count/test_count are per class.  The relaxation
+    phase, which cannot see the input, is integrated once (seed base + (3,))
+    and gives every record its steady baseline; each record resumes from it
+    with its own input samples (base + (1, c, i)) and injection noise (base +
+    (2, c, i)).  Record seeds follow the record's position, so the dataset
+    is reproducible and independent of generation order and worker count.
     """
     if task not in ("classify", "predict_squeezing"):
         raise ConfigError(f"unknown task {task!r}")
     if train_count < 1 or test_count < 0:
         raise ConfigError("need at least one training record and test_count >= 0")
     base = _seed_base(seed)
+    relaxed = relax_ensemble(spec, schedule, trajectories, seed=base + (3,),
+                             threshold=threshold)
     labels = CLASS_NAMES if task == "classify" else ("squeezed_vacuum",)
     per_label = train_count + test_count
     plans = []
@@ -573,7 +569,7 @@ def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
                 np.random.SeedSequence(base + (0, c, i)))
             state, target = _draw_state(task, label, param_rng)
             (train_idx if i < train_count else test_idx).append(len(plans))
-            plans.append((spec, schedule, state, label, target, trajectories,
+            plans.append((spec, schedule, relaxed, state, label, target, trajectories,
                           base + (1, c, i), base + (2, c, i), threshold))
     if workers > 1:
         import multiprocessing

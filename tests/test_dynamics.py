@@ -6,16 +6,27 @@ import numpy as np
 import pytest
 
 from conftest import max_se_ratio, plain_se
-from pplattice.dynamics import (NoiseDraw, PhaseSamplePair, Schedule, build_single_mode,
-                                deriv_split, draw_noise, evolve_trajectory,
-                                run_ensemble, stability_scan, step_semi_implicit)
+from pplattice.dynamics import (PhaseSamplePair, RelaxedStart, Schedule, _BlockRun,
+                                _derivs, _PhaseCoeffs, _step_arrays,
+                                _trajectory_generators, build_single_mode,
+                                evolve_trajectory, relax_ensemble, run_ensemble,
+                                stability_scan)
 from pplattice.errors import ConfigError, DivergenceError
 from pplattice.model import build_reservoir, shape_for_modes
 from pplattice.sampler import sample_coherent, sample_thermal, vacuum_samples
 
 
-def zero_noise(n):
-    return NoiseDraw(xi=np.zeros(n), xi_tilde=np.zeros(n))
+def one(value):
+    """A batch of one trajectory: shape (1,) for sources, (1, 1) for modes."""
+    return np.atleast_1d(np.asarray(value, dtype=complex))
+
+
+def split(spec, f, pair, xi=0.0, xi_tilde=0.0):
+    """_derivs at one phase-space point; xi are unit noise draws of the modes."""
+    coeffs = _PhaseCoeffs(spec, f)
+    return _derivs(coeffs, one(pair.alpha)[None, :], one(pair.alpha_tilde)[None, :],
+                   one(pair.source), one(pair.source_tilde),
+                   one(xi) * coeffs.noise_coeff, one(xi_tilde) * coeffs.noise_coeff)
 
 
 # -- schedule -----------------------------------------------------------------
@@ -40,11 +51,20 @@ def test_schedule_validation():
 
 
 def test_noise_scaling():
-    rng = np.random.default_rng(0)
-    tau = 0.05
-    draws = np.array([draw_noise(rng, 2, tau).xi for _ in range(20_000)])
-    assert abs(draws.var() * tau - 1.0) < 0.03
-    assert abs(draws.mean()) < 3.0 / math.sqrt(draws.size * tau)
+    # One kernel step from alpha = alpha_tilde = 1, undriven, with a weak Kerr
+    # term: log(alpha) = -tau/2 + O(U tau) + tau * noise, where tau * noise =
+    # sqrt(U tau) exp(-i pi/4) xi needs xi of variance 1/tau per step.
+    kerr, tau, count = 1e-4, 0.05, 20_000
+    spec = build_single_mode(drive=0.0, kerr=kerr, loss=1.0)
+    schedule = Schedule(t_relax=tau, t_final=0.0, dt=tau)
+    ones = np.ones((count, 1), dtype=complex)
+    run = _BlockRun(spec, schedule, ones, ones, ones[:, 0], ones[:, 0],
+                    _trajectory_generators((0,), 0, count), threshold=1e10,
+                    keep_amplitudes=True).run()
+    draws = ((np.log(run.amp[:, -1, 0]) + tau / 2.0) * np.exp(0.25j * math.pi)
+             / math.sqrt(kerr * tau)).real
+    assert abs(draws.var() - 1.0) < 0.03
+    assert abs(draws.mean()) < 3.0 / math.sqrt(draws.size)
 
 
 # -- drift split ---------------------------------------------------------------
@@ -54,49 +74,48 @@ def test_bare_decay_split():
     pair = PhaseSamplePair(alpha=np.array([0.3 + 0.1j]),
                            alpha_tilde=np.array([0.2j]),
                            source=0.5, source_tilde=0.5)
-    split = deriv_split(pair, spec, f=0, noise=zero_noise(1))
-    assert split.exp_alpha[0] == -0.5
-    assert split.res_alpha[0] == 0.0
-    assert split.exp_alpha_tilde[0] == -0.5
-    assert split.exp_source == 0.0    # source frozen before injection
+    exp_alpha, res_alpha, exp_alpha_tilde, _ = split(spec, 0, pair)
+    assert exp_alpha[0, 0] == -0.5
+    assert res_alpha[0, 0] == 0.0
+    assert exp_alpha_tilde[0, 0] == -0.5
+    assert _PhaseCoeffs(spec, 0).source_exp == 0.0    # source frozen before injection
 
 
 def test_kerr_split_coefficients():
     kerr = 0.1
     spec = build_single_mode(drive=0.0, kerr=kerr, loss=1.0)
     pair = PhaseSamplePair(alpha=np.array([1.0 + 0j]), alpha_tilde=np.array([1.0 + 0j]))
-    quiet = deriv_split(pair, spec, f=0, noise=zero_noise(1))
+    quiet = split(spec, 0, pair)
     # -iU a at* - gamma/2 + iU/2
-    assert quiet.exp_alpha[0] == pytest.approx(-0.5 - 0.05j, abs=1e-15)
-    kicked = deriv_split(pair, spec, f=0,
-                         noise=NoiseDraw(xi=np.array([1.0]), xi_tilde=np.zeros(1)))
-    noise_term = kicked.exp_alpha[0] - quiet.exp_alpha[0]
+    assert quiet[0][0, 0] == pytest.approx(-0.5 - 0.05j, abs=1e-15)
+    kicked = split(spec, 0, pair, xi=1.0)
+    noise_term = kicked[0][0, 0] - quiet[0][0, 0]
     assert abs(noise_term) == pytest.approx(math.sqrt(kerr), abs=1e-15)
     assert noise_term == pytest.approx(math.sqrt(kerr) * np.exp(-1j * math.pi / 4),
                                        abs=1e-15)
-    assert kicked.exp_alpha_tilde[0] == quiet.exp_alpha_tilde[0]  # own noise only
+    assert kicked[2][0, 0] == quiet[2][0, 0]  # own noise only
 
 
 def test_source_split_during_injection():
     spec = build_single_mode(drive=0.0, kerr=0.0, loss=1.0,
                              source_loss=2.0, input_weight=0.5)
-    pair = PhaseSamplePair(alpha=np.zeros(1, complex), alpha_tilde=np.zeros(1, complex),
-                           source=1.0, source_tilde=1.0)
-    split = deriv_split(pair, spec, f=1, noise=zero_noise(1))
-    assert split.exp_source == -spec.eta * spec.source_loss / 2.0
+    assert _PhaseCoeffs(spec, 1).source_exp == -spec.eta * spec.source_loss / 2.0
 
 
 # -- single-step / single-trajectory exactness -----------------------------------
 
 def test_pure_decay_step_is_exact():
     spec = build_single_mode(drive=0.0, kerr=0.0, loss=1.0)
-    pair = PhaseSamplePair(alpha=np.array([1.5 - 0.5j]), alpha_tilde=np.array([0.8j]))
+    coeffs = _PhaseCoeffs(spec, 0)
+    alpha, alpha_tilde = one(1.5 - 0.5j)[None, :], one(0.8j)[None, :]
+    source, source_tilde, quiet = one(0.0), one(0.0), np.zeros((1, 1))
     tau = 0.3
     for _ in range(10):
-        pair = step_semi_implicit(pair, spec, tau, 0, zero_noise(1))
+        alpha, alpha_tilde, source, source_tilde = _step_arrays(
+            coeffs, tau, alpha, alpha_tilde, source, source_tilde, quiet, quiet)
     decay = math.exp(-10 * tau / 2.0)
-    assert pair.alpha[0] == pytest.approx((1.5 - 0.5j) * decay, abs=1e-14)
-    assert pair.alpha_tilde[0] == pytest.approx(0.8j * decay, abs=1e-14)
+    assert alpha[0, 0] == pytest.approx((1.5 - 0.5j) * decay, abs=1e-14)
+    assert alpha_tilde[0, 0] == pytest.approx(0.8j * decay, abs=1e-14)
 
 
 def test_driven_linear_trajectory_matches_analytic_solution():
@@ -202,6 +221,73 @@ def test_occupation_moment_is_real_within_errors():
     rows = np.array(rows)
     for t in range(1, rows.shape[1]):
         assert abs(rows[:, t].mean()) < 3.0 * plain_se(rows[:, t])
+
+
+# -- relaxed start ----------------------------------------------------------------
+
+def test_vacuum_relaxed_start_is_bit_identical_to_plain_run():
+    # with t_relax = 0 the resumed loop must be the plain loop, step for step
+    spec = build_reservoir(shape_for_modes(2), kerr=0.08, drive=0.5, seed=3)
+    schedule = Schedule(t_relax=0.0, t_final=2.0, dt=0.05, record_stride=4)
+    count = 600                                   # two reduction blocks
+    samples = sample_coherent(0.8 + 0.3j, count)
+    vacuum = np.zeros((count, spec.n_modes), dtype=complex)
+    start = RelaxedStart(alpha=vacuum, alpha_tilde=vacuum,
+                         alive=np.ones(count, dtype=bool), series=None)
+    plain = run_ensemble(spec, samples, schedule, seed=(9, 2))
+    resumed = run_ensemble(spec, samples, schedule, seed=(9, 2), relaxed=start)
+    for name in ("times", "mean", "stderr", "source_occupation"):
+        assert np.array_equal(getattr(resumed, name), getattr(plain, name))
+    assert resumed.divergence_fraction == plain.divergence_fraction
+    assert resumed.injection_time == plain.injection_time == 0.0
+    relaxed = relax_ensemble(spec, schedule, count, seed=1)
+    assert np.array_equal(relaxed.alpha, vacuum) and relaxed.alive.all()
+
+
+def test_resumed_run_continues_the_relaxation():
+    # zero Kerr makes every trajectory deterministic, so resuming from the
+    # relaxed amplitudes must reproduce the plain run from injection on
+    spec = build_single_mode(drive=1.0, kerr=0.0, loss=1.0, input_weight=0.5)
+    schedule = Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=4)
+    samples = sample_coherent(0.5, 8)
+    relaxed = relax_ensemble(spec, schedule, 8, seed=0)
+    assert np.array_equal(relaxed.series.times, schedule.times[:schedule.injection_index + 1])
+    plain = run_ensemble(spec, samples, schedule, seed=3)
+    assert np.max(np.abs(relaxed.series.mean
+                         - plain.mean[:schedule.injection_index + 1])) < 1e-12
+    resumed = run_ensemble(spec, samples, schedule, seed=3, relaxed=relaxed)
+    assert np.array_equal(resumed.times, schedule.times[schedule.injection_index:])
+    assert resumed.injection_time == schedule.t_relax
+    assert np.max(np.abs(resumed.mean - plain.mean[schedule.injection_index:])) < 1e-12
+
+
+def test_trajectories_lost_while_relaxing_count_as_diverged():
+    spec = build_single_mode(drive=1.0, kerr=0.0, loss=1.0, input_weight=0.5)
+    schedule = Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=4)
+    samples = sample_coherent(0.5, 8)
+    relaxed = relax_ensemble(spec, schedule, 8, seed=0)
+    alive = relaxed.alive.copy()
+    alive[[1, 5]] = False
+    alpha = np.where(alive[:, None], relaxed.alpha, 0)
+    partly = RelaxedStart(alpha=alpha, alpha_tilde=alpha, alive=alive,
+                          series=relaxed.series)
+    series = run_ensemble(spec, samples, schedule, seed=3, relaxed=partly)
+    assert series.divergence_fraction == 2 / 8
+    dead = RelaxedStart(alpha=alpha, alpha_tilde=alpha, alive=np.zeros(8, dtype=bool),
+                        series=None)
+    with pytest.raises(DivergenceError):
+        run_ensemble(spec, samples, schedule, seed=3, relaxed=dead)
+    with pytest.raises(ConfigError):
+        run_ensemble(spec, sample_coherent(0.5, 9), schedule, seed=3, relaxed=relaxed)
+
+
+def test_relaxation_without_survivors_has_no_series():
+    spec = build_single_mode(drive=1.0, kerr=0.0, loss=1.0)
+    schedule = Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=4)
+    relaxed = relax_ensemble(spec, schedule, 10, seed=0, threshold=1e-6)
+    assert relaxed.series is None
+    assert not relaxed.alive.any()
+    assert np.all(relaxed.alpha == 0) and np.all(relaxed.alpha_tilde == 0)
 
 
 # -- divergence handling -----------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pplattice import learn
 from pplattice.dynamics import Schedule
 from pplattice.errors import ConfigError, DivergenceError
 from pplattice.learn import (BASELINE_PAIR_CONFUSED_ACCURACY, BASELINE_UNIFORM_ACCURACY,
@@ -353,6 +354,7 @@ def test_regression_targets_encode_the_squeezing(small_reservoir, small_schedule
         assert abs(zeta - record.state.r * np.exp(2j * record.state.theta)) < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_all_divergent_records_are_flagged(small_reservoir, small_schedule):
     dataset = generate_dataset("classify", small_reservoir, small_schedule,
                                train_count=1, test_count=0, trajectories=5,
@@ -361,6 +363,28 @@ def test_all_divergent_records_are_flagged(small_reservoir, small_schedule):
         assert record.flagged
         assert record.divergence_fraction == 1.0
         assert np.all(record.features == 0.0)
+
+
+def test_dataset_generation_relaxes_once(monkeypatch, small_reservoir, small_schedule):
+    calls = {"relax_ensemble": [], "run_ensemble": []}
+
+    def counted(name):
+        inner = getattr(learn, name)
+
+        def wrapper(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            calls[name].append((kwargs, result))
+            return result
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(learn, name, counted(name))
+    dataset = generate_dataset("classify", small_reservoir, small_schedule,
+                               train_count=2, test_count=1, trajectories=20, seed=8)
+    assert len(calls["relax_ensemble"]) == 1
+    assert len(calls["run_ensemble"]) == len(dataset.records) == 9
+    relaxed = calls["relax_ensemble"][0][1]
+    assert all(kwargs["relaxed"] is relaxed for kwargs, _ in calls["run_ensemble"])
 
 
 def test_split_validation():

@@ -7,13 +7,13 @@ import pytest
 
 from conftest import max_se_ratio
 from pplattice.dynamics import (PhaseSamplePair, Schedule, build_single_mode,
-                                evolve_trajectory, run_ensemble)
+                                evolve_trajectory, relax_ensemble, run_ensemble)
 from pplattice.errors import ConfigError, NumericsError, TruncationError
 from pplattice.oracle import (FockDensityMatrix, _generators, build_state_fock,
                               destroy, evolve_master, expect_occupation, number_op,
                               vacuum_density, wigner_grid)
 from pplattice.sampler import (cat_state, coherent_state, sample_coherent,
-                               squeezed_state, thermal_state)
+                               sample_state, squeezed_state, thermal_state)
 
 
 # -- ladder operators -----------------------------------------------------------
@@ -175,6 +175,26 @@ def test_kerr_ensemble_matches_master_equation():
     ratio = max_se_ratio(series.mean[:, 0], series.stderr[:, 0],
                          oracle.occupation[:, 0], 0.0)
     assert ratio < 3.0
+
+
+def test_relaxed_start_cascade_matches_master_equation():
+    # one Kerr mode fed by a coherent source: both the plain run and the
+    # relax-once run must sit within 3 SE of the exact injection window
+    spec = build_single_mode(drive=1.0, kerr=0.1, loss=1.0, input_weight=1.0)
+    schedule = Schedule(t_relax=3.0, t_final=3.0, dt=0.05, record_stride=10)
+    state = coherent_state(0.8)
+    samples = sample_state(state, 2000, seed=17)
+    oracle = evolve_master(vacuum_density(12), spec, build_state_fock(state, 11),
+                           schedule, validate_records=True)
+    assert oracle.trace_error < 1e-8
+    exact = oracle.occupation[schedule.injection_index:, 0]
+    plain = run_ensemble(spec, samples, schedule, seed=(17, 2))
+    window = slice(schedule.injection_index, None)
+    assert max_se_ratio(plain.mean[window, 0], plain.stderr[window, 0], exact, 0.0) < 3.0
+    relaxed = relax_ensemble(spec, schedule, 2000, seed=(17, 3))
+    resumed = run_ensemble(spec, samples, schedule, seed=(17, 2), relaxed=relaxed)
+    assert np.array_equal(resumed.times, schedule.times[window])
+    assert max_se_ratio(resumed.mean[:, 0], resumed.stderr[:, 0], exact, 0.0) < 3.0
 
 
 def test_master_equation_refusals():
