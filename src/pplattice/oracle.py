@@ -18,12 +18,14 @@ During the relaxation phase (f=0) the source factorizes exactly, so the
 solver propagates the reservoir factor alone and forms the tensor product
 (source first) only at the injection time.
 
-Propagation applies the exact exponential of the generator over each
-recording interval: through expm of the dense superoperator when the
-Hilbert space is small, and otherwise through a scaled Taylor series on the
-density matrix run to a certified fixed depth (term count chosen from a
-guaranteed generator-norm bound so the series equals the exponential to
-machine precision in operator norm, not merely on the current state).
+Propagation applies the action of the exponential of a matrix-free
+generator to the state over each phase's recording grid (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33, 488, 2011, via scipy's expm_multiply); no
+D^2 x D^2 superoperator is formed.  Taylor degree and scaling come from
+1-norm estimates of powers of the shifted generator, and each series stops
+once further terms fall below unit roundoff relative to the propagated
+state: truncation is a backward error of unit roundoff on the state being
+propagated, not a certified operator-norm bound on the map.
 
 Approximate one-step integrators, fixed-step RK4 included, are unusable
 here: the truncated loss cascade couples the (n, m) diagonals of rho
@@ -32,9 +34,11 @@ any per-step deviation from the exact semigroup on the stiff directions is
 amplified into sustained exponential error growth (measured rates of 2-3.5
 per unit time at truncations of 30 levels, independent of step size; the
 1e-6 trace budget is gone by t of about 15).  The exact semigroup is a
-trace-norm contraction, so applying it to machine precision keeps roundoff
-from compounding, and the only systematic error left is the Fock-space
-truncation itself.
+trace-norm contraction, so applying its action to roundoff accuracy keeps
+errors from compounding, and the only systematic error left is the
+Fock-space truncation itself.  Roundoff in the anti-Hermitian sector is
+not contracted by the map, so every recorded state, and the state handed
+to the injection phase, is projected onto its Hermitian part.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
+from scipy.sparse.linalg import LinearOperator, expm_multiply
 from scipy.special import eval_genlaguerre
 
 from .dynamics import Schedule
@@ -56,10 +60,8 @@ from .sampler import StateSpec
 
 TAIL_TOLERANCE = 1e-8       # allowed Fock mass beyond the truncation
 TRACE_LIMIT = 1e-6          # trace drift that aborts a run
-DENSE_SUPEROP_LIMIT = 50    # Hilbert dims up to this use expm of the superoperator
 MAX_DIM = 4000              # largest composite Hilbert dimension the solver accepts
-TAYLOR_THETA = 8.0          # max sub-interval scaled generator norm for the series
-SERIES_EPS = 1e-16          # certified operator-norm tail of the truncated series
+INTERVALS_PER_CALL = 8      # recording intervals propagated per expm_multiply call
 
 
 def destroy(dim: int) -> np.ndarray:
@@ -267,91 +269,82 @@ def _generators(spec: ReservoirSpec, dims: tuple[int, ...], source_dim: int | No
     return k_op.tocsr(), [a.tocsr() for a in jumps]
 
 
-def _rhs(k_op, jumps, rho: np.ndarray) -> np.ndarray:
-    """K rho + rho K^dag + sum A rho A^dag, valid for Hermitian rho."""
-    krho = k_op @ rho
-    out = krho + krho.conj().T
-    for a in jumps:
-        arho = a @ rho
-        out += a @ arho.conj().T
-    return out
+class _LindbladOperator(LinearOperator):
+    """L(rho) = K rho + rho K^dag + sum_j A_j rho A_j^dag on row-major vec(rho).
 
-
-def _norm_bound(op) -> float:
-    """Guaranteed spectral-norm upper bound, sqrt(norm_1 * norm_inf)."""
-    mags = abs(op)
-    return float(math.sqrt(mags.sum(axis=0).max() * mags.sum(axis=1).max()))
-
-
-def _series_depth(theta: float) -> int:
-    """Terms after which the Taylor tail of exp(theta) drops below SERIES_EPS."""
-    if theta <= 0.0:
-        return 0
-    log_term = 0.0
-    for k in range(1, 1000):
-        log_term += math.log(theta) - math.log(k)
-        if k + 1 <= theta:
-            continue
-        if math.exp(log_term) / (1.0 - theta / (k + 1)) <= SERIES_EPS:
-            return k - 1
-    raise NumericsError(f"series depth search failed for theta={theta:.3g}")
-
-
-class _Propagator:
-    """Exact map over one recording interval for a fixed generator.
-
-    Small spaces take expm of the dense superoperator once and iterate it.
-    Larger composites apply a scaled Taylor series of the shifted generator
-    with a fixed term count certified by a norm upper bound, so the applied
-    map equals the exponential to machine precision in operator norm and not
-    merely on the state it happens to act on.  Either way each interval is a
-    contraction up to roundoff, which is what keeps errors from compounding
-    (see the module docstring).
+    For a general (non-Hermitian) rho, rho K^dag = (K rho^dag)^dag and
+    A rho A^dag = A (A rho^dag)^dag, so one application costs three sparse
+    products: [K; A_1; ...; A_N] and K on dense D x D operands, and
+    [A_1 ... A_N] on the stacked daggered jump blocks.  Daggered operands go
+    into preallocated C-ordered buffers: scipy copies a non-contiguous dense
+    operand, and each freed multi-MB temporary costs fresh page faults on the
+    next allocation.  The adjoint K^dag X + X K + sum_j A_j^dag X A_j is the
+    same code with K^dag and A_j^dag.
     """
 
-    def __init__(self, k_op, jumps, dim: int, segment: float):
-        if dim <= DENSE_SUPEROP_LIMIT:
-            kd = k_op.toarray()
-            eye = np.eye(dim)
-            lsup = np.kron(kd, eye) + np.kron(eye, kd.conj())
-            for a in jumps:
-                ad = a.toarray()
-                lsup += np.kron(ad, ad.conj())
-            self.matrix = expm(segment * lsup)
-            return
-        self.matrix = None
-        self.k_op = k_op
-        self.jumps = jumps
-        # Shifting off the mean eigenvalue (real here: jump operators are
-        # traceless and K's trace is real) shrinks the series terms.
-        trace_l = 2.0 * dim * float(k_op.diagonal().sum().real)
-        for a in jumps:
-            trace_l += abs(a.diagonal().sum()) ** 2
-        self.mu = trace_l / dim**2
-        shifted = k_op - 0.5 * self.mu * sparse.identity(dim, format="csr")
-        bound = 2.0 * _norm_bound(shifted)
-        for a in jumps:
-            bound += _norm_bound(a) ** 2
-        self.pieces = max(1, math.ceil(segment * bound / TAYLOR_THETA))
-        self.h = segment / self.pieces
-        self.depth = _series_depth(self.h * bound)
-        self.scale = math.exp(self.mu * self.h)
+    def __init__(self, k_op, jumps):
+        d = k_op.shape[0]
+        super().__init__(dtype=complex, shape=(d * d, d * d))
+        self.d = d
+        self.forward = self._factors(k_op, jumps)
+        self.backward = self._factors(k_op.conj().T.tocsr(),
+                                      [a.conj().T.tocsr() for a in jumps])
+        self.dag = np.empty((d, d), dtype=complex)
+        self.jump_dag = np.empty((len(jumps), d, d), dtype=complex)
+        # traceless jump operators and a real tr K make this real
+        self.trace = 2.0 * d * float(k_op.diagonal().sum().real) \
+            + sum(abs(a.diagonal().sum()) ** 2 for a in jumps)
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        if self.matrix is not None:
-            out = (self.matrix @ rho.reshape(-1)).reshape(rho.shape)
-            return 0.5 * (out + out.conj().T)
-        for _ in range(self.pieces):
-            term = rho
-            acc = rho.copy()
-            for k in range(1, self.depth + 1):
-                term = (self.h / k) * (_rhs(self.k_op, self.jumps, term)
-                                       - self.mu * term)
-                acc += term
-            # roundoff in the anti-Hermitian sector is not contracted by the
-            # map, so project it out rather than letting it accumulate
-            rho = (0.5 * self.scale) * (acc + acc.conj().T)
-        return rho
+    @staticmethod
+    def _factors(k_op, jumps):
+        return (k_op, sparse.vstack([k_op] + jumps, format="csr"),
+                sparse.hstack(jumps, format="csr"))
+
+    def _apply(self, factors, x: np.ndarray) -> np.ndarray:
+        k_op, stacked, side = factors
+        d = self.d
+        rho = x.reshape(d, d)
+        np.conjugate(rho.T, out=self.dag)
+        left = stacked @ self.dag                 # K rho^dag, then A_j rho^dag
+        out = k_op @ rho
+        np.conjugate(left[:d].T, out=self.dag)
+        out += self.dag
+        np.conjugate(left[d:].reshape(-1, d, d).transpose(0, 2, 1), out=self.jump_dag)
+        out += side @ self.jump_dag.reshape(-1, d)
+        return out.reshape(-1)
+
+    def _matvec(self, x):
+        return self._apply(self.forward, x)
+
+    def _rmatvec(self, x):
+        return self._apply(self.backward, x)
+
+
+def _phase_states(k_op, jumps, rho: np.ndarray, segment: float, count: int):
+    """Yield the Hermitian part of the state after each of `count` intervals.
+
+    One expm_multiply call estimates the generator's norms once for up to
+    INTERVALS_PER_CALL intervals; the cap keeps peak memory from growing
+    with the record count.  The estimates draw probe vectors from the legacy
+    global NumPy stream, so a fixed seed makes the result independent of the
+    caller's stream, which is restored afterwards.
+    """
+    generator = _LindbladOperator(k_op, jumps)
+    while count:
+        step = min(INTERVALS_PER_CALL, count)
+        caller_state = np.random.get_state()
+        np.random.seed(0)
+        try:
+            chunk = expm_multiply(generator, rho.reshape(-1), start=0.0,
+                                  stop=step * segment, num=step + 1, endpoint=True,
+                                  traceA=generator.trace)
+        finally:
+            np.random.set_state(caller_state)
+        for state in chunk[1:].reshape((step,) + rho.shape):
+            rho = 0.5 * (state + state.conj().T)
+            yield rho
+        del chunk, state        # free them before the next chunk is computed
+        count -= step
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,10 +388,6 @@ def evolve_master(rho0: FockDensityMatrix, spec: ReservoirSpec,
     n = spec.n_modes
     occupation = np.zeros((times.shape[0], n))
     source_occ = np.zeros(times.shape[0]) if source0 is not None else None
-    k_op, jumps = _generators(spec, dims, None, f=0)
-    prop = _Propagator(k_op, jumps, int(np.prod(dims)), segment)
-    rho = rho0.data.astype(complex).copy()
-    composite = False
     src_initial = expect_occupation(source0) if source0 is not None else 0.0
     trace_error = 0.0
 
@@ -411,27 +400,31 @@ def evolve_master(rho0: FockDensityMatrix, spec: ReservoirSpec,
             raise NumericsError(f"trace drifted by {drift:.3e} at t={times[rec]:.3f}")
         if validate_records:
             fock.validate()
-        offset = 1 if composite else 0
+        composite = len(state_dims) > n
         for j in range(n):
-            occupation[rec, j] = expect_occupation(fock, offset + j)
+            occupation[rec, j] = expect_occupation(fock, int(composite) + j)
         if source_occ is not None:
             source_occ[rec] = expect_occupation(fock, 0) if composite else src_initial
 
-    snapshot(0, rho, dims)
-    injection_record = schedule.injection_index
-    for rec in range(1, times.shape[0]):
-        if source0 is not None and rec == injection_record + 1:
-            # without a source, f only scales vanished terms: same generators
-            rho = np.kron(source0.data, rho)
-            composite = True
-            k_op, jumps = _generators(spec, dims, source_dim, f=1)
-            prop = _Propagator(k_op, jumps, total_dim, segment)
-        rho = prop.apply(rho)
-        snapshot(rec, rho, ((source_dim,) + dims) if composite else dims)
-    final_dims = ((source_dim,) + dims) if composite else dims
+    last = times.shape[0] - 1
+    # without a source, f only scales vanished terms: one phase, same generators
+    relax_end = schedule.injection_index if source0 is not None else last
+    rho = rho0.data.astype(complex)
+    state_dims = dims
+    snapshot(0, rho, state_dims)
+    k_op, jumps = _generators(spec, dims, None, f=0)
+    for rec, rho in enumerate(_phase_states(k_op, jumps, rho, segment, relax_end), 1):
+        snapshot(rec, rho, state_dims)
+    if relax_end < last:
+        rho = np.kron(source0.data, rho)
+        state_dims = (source_dim,) + dims
+        k_op, jumps = _generators(spec, dims, source_dim, f=1)
+        for rec, rho in enumerate(
+                _phase_states(k_op, jumps, rho, segment, last - relax_end), relax_end + 1):
+            snapshot(rec, rho, state_dims)
     return MasterSeries(times=times, occupation=occupation,
                         source_occupation=source_occ, trace_error=trace_error,
-                        final_state=FockDensityMatrix(data=rho, dims=final_dims))
+                        final_state=FockDensityMatrix(data=rho, dims=state_dims))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Exact Fock-space reference: operators, states, master equation, Wigner."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import max_se_ratio
 from pplattice.dynamics import (PhaseSamplePair, Schedule, build_single_mode,
                                 evolve_trajectory, relax_ensemble, run_ensemble)
 from pplattice.errors import ConfigError, NumericsError, TruncationError
-from pplattice.oracle import (FockDensityMatrix, _generators, build_state_fock,
-                              destroy, evolve_master, expect_occupation, number_op,
-                              vacuum_density, wigner_grid)
+from pplattice.model import build_reservoir, shape_for_modes
+from pplattice.oracle import (FockDensityMatrix, _generators, _LindbladOperator,
+                              build_state_fock, destroy, evolve_master,
+                              expect_occupation, number_op, vacuum_density,
+                              wigner_grid)
 from pplattice.sampler import (cat_state, coherent_state, sample_coherent,
                                sample_state, squeezed_state, thermal_state)
 
@@ -118,6 +122,37 @@ def test_cascade_generators_are_trace_preserving():
         assert np.max(np.abs(total.toarray())) < 1e-12
 
 
+def _superoperator(k_op, jumps) -> np.ndarray:
+    """Dense K(x)I + I(x)conj(K) + sum A(x)conj(A), acting on row-major vec(rho)."""
+    kd = k_op.toarray()
+    eye = np.eye(kd.shape[0])
+    lsup = np.kron(kd, eye) + np.kron(eye, kd.conj())
+    for a in jumps:
+        ad = a.toarray()
+        lsup += np.kron(ad, ad.conj())
+    return lsup
+
+
+def test_matrix_free_generator_matches_superoperator():
+    spec = build_reservoir(shape_for_modes(2), kerr=0.05, seed=42)
+    k_op, jumps = _generators(spec, (3, 3), 4, f=1)
+    op = _LindbladOperator(k_op, jumps)
+    lsup = _superoperator(k_op, jumps)
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(2, op.shape[0])) + 1j * rng.normal(size=(2, op.shape[0]))
+    lx = lsup @ x
+    scale = np.max(np.abs(lx))
+    assert np.max(np.abs(op.matvec(x) - lx)) < 1e-13 * scale
+    assert np.max(np.abs(op.rmatvec(y) - lsup.conj().T @ y)) < 1e-13 * scale
+    block = np.stack([x, y], axis=1)
+    assert np.max(np.abs(op.matmat(block) - lsup @ block)) < 1e-13 * scale
+    # <L x, y> = <x, L^dag y>
+    lhs, rhs = np.vdot(op.matvec(x), y), np.vdot(x, op.rmatvec(y))
+    assert abs(lhs - rhs) < 1e-13 * np.linalg.norm(lx) * np.linalg.norm(y)
+    assert op.trace == pytest.approx(np.trace(lsup).real, rel=1e-13)
+    assert abs(np.trace(lsup).imag) < 1e-12
+
+
 # -- master-equation evolution ---------------------------------------------------------
 
 def test_undriven_vacuum_stays_vacuum():
@@ -195,6 +230,63 @@ def test_relaxed_start_cascade_matches_master_equation():
     resumed = run_ensemble(spec, samples, schedule, seed=(17, 2), relaxed=relaxed)
     assert np.array_equal(resumed.times, schedule.times[window])
     assert max_se_ratio(resumed.mean[:, 0], resumed.stderr[:, 0], exact, 0.0) < 3.0
+
+
+def test_cascade_matches_superoperator_exponential():
+    # the dense superoperator exponential, applied per interval with the same
+    # Hermitian projection, is the reference at every recorded time
+    spec = build_reservoir(shape_for_modes(2), kerr=0.05, seed=42)
+    schedule = Schedule(t_relax=2.0, t_final=3.0, dt=0.05, record_stride=10)
+    source = build_state_fock(coherent_state(0.2), 5)
+    series = evolve_master(vacuum_density((3, 2)), spec, source, schedule)
+    segment = schedule.dt * schedule.record_stride
+    rho = vacuum_density((3, 2)).data
+    step = expm(segment * _superoperator(*_generators(spec, (3, 2), None, f=0)))
+    occupation = [[0.0, 0.0]]
+    for rec in range(1, schedule.times.shape[0]):
+        if rec == schedule.injection_index + 1:
+            rho = np.kron(source.data, rho)
+            step = expm(segment * _superoperator(*_generators(spec, (3, 2), 5, f=1)))
+        rho = (step @ rho.reshape(-1)).reshape(rho.shape)
+        rho = 0.5 * (rho + rho.conj().T)
+        dims = (5, 3, 2) if rho.shape[0] == 30 else (3, 2)
+        state = FockDensityMatrix(data=rho, dims=dims)
+        occupation.append([expect_occupation(state, len(dims) - 2 + j) for j in range(2)])
+    assert np.max(np.abs(series.occupation - np.array(occupation))) < 1e-12
+    assert np.max(np.abs(series.final_state.data - rho)) < 1e-12
+
+
+def test_master_equation_ignores_and_keeps_global_random_state():
+    # expm_multiply's norm estimates draw from the legacy global stream; at
+    # this D = 192 unseeded estimates change the output bits
+    spec = build_reservoir(shape_for_modes(2), kerr=0.05, seed=42)
+    schedule = Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=20)
+    source = build_state_fock(coherent_state(0.5), 12)
+    runs = []
+    for seed in (0, 1):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        runs.append(evolve_master(vacuum_density((4, 4)), spec, source, schedule))
+        after = np.random.get_state()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+    assert np.array_equal(runs[0].occupation, runs[1].occupation)
+    assert np.array_equal(runs[0].final_state.data, runs[1].final_state.data)
+
+
+def test_master_equation_memory_does_not_grow_with_records():
+    spec = build_single_mode(drive=0.5, kerr=0.1, loss=1.0, input_weight=1.0)
+    source = build_state_fock(coherent_state(0.5), 12)
+    peaks = []
+    for t_final in (0.95, 9.95):        # 20 and 200 recording intervals, D = 144
+        schedule = Schedule(t_relax=0.05, t_final=t_final, dt=0.05, record_stride=1)
+        tracemalloc.start()
+        try:
+            evolve_master(vacuum_density(12), spec, source, schedule)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_master_equation_refusals():
