@@ -193,7 +193,7 @@ def cmd_stability_scan(args) -> int:
                   horizon=float(cfg.get("horizon", 25.0)),
                   dt=float(cfg.get("dt", 0.05)),
                   threshold=float(cfg.get("threshold", 1e10)),
-                  seed=args.seed)
+                  seed=args.seed, workers=args.workers)
     if "kerr" in axes:
         kwargs["kerr_values"] = axes["kerr"]
         kwargs["loss"] = float(fixed.get("loss", 1.0))

@@ -21,9 +21,13 @@ hopping, source injection), advancing
 
     v(t + tau) = v(t) exp(tau D_E(vbar)) + (exp(tau D_E(vbar)) - 1) D_R(vbar)/D_E(vbar)
 
-with vbar refined by a fixed number of half-step midpoint iterations, noise
-held fixed within the step.  |D_E| -> 0 uses the series limit tau(1 + z/2 +
-z^2/6), z = tau D_E.
+with vbar refined by two half-step midpoint iterations, noise held fixed
+within the step (Drummond & Mortimer, J. Comput. Phys. 93, 144, 1991): a
+third moves desk-scale means by under 0.01 standard errors, one fewer by
+about one.  |D_E| -> 0 uses the series limit tau(1 + z/2 + z^2/6), z = tau
+D_E.  A block of S trajectories is one array (2, S, N), alpha in row 0 and
+alpha_tilde in row 1, so each numpy call advances both (the ensemble layout
+of xSPDE, Kiesewetter et al., SoftwareX 5, 12, 2016).
 
 The run is split into a relaxation phase (f=0: source frozen, reservoir
 relaxes under its drive) and an injection phase (f=1: cascade open, source
@@ -34,13 +38,14 @@ phase once and run_ensemble(relaxed=...) resumes from it at injection.
 
 Reproducibility: trajectory i of an ensemble seeded b draws its noise from an
 own PCG64 stream seeded by b + (i,), in fixed 128-step slabs counted from the
-run's first step; ensemble reduction runs over fixed 512-trajectory blocks
-combined in index order, so results are bit-identical regardless of how work
-is partitioned.  Dataset record (c, i) under root seed r samples its input
-from r + (1, c, i) and integrates its injection phase from r + (2, c, i);
-all records resume from one relaxation seeded r + (3,), so they share its
-Monte Carlo error (common random numbers) while each record's estimator
-keeps its distribution.
+run's first step, alpha's noise from the first N of each step's 2N draws;
+ensemble reduction runs over fixed 512-trajectory blocks combined in index
+order, so results are bit-identical regardless of how work is partitioned.
+Dataset record (c, i) under root seed r samples its input from r + (1, c, i)
+and integrates its injection phase from r + (2, c, i); all records resume
+from one relaxation seeded r + (3,), so they share its Monte Carlo error
+(common random numbers) while each record's estimator keeps its
+distribution.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from .sampler import PhaseSampleSet, vacuum_samples
 BLOCK_TRAJECTORIES = 512   # fixed reduction block; do not tune per machine
 NOISE_SLAB_STEPS = 128     # noise is drawn per trajectory in slabs this long
 DEFAULT_THRESHOLD = 1e10   # |alpha|^2 + |alpha_tilde|^2 divergence cutoff
-MIDPOINT_ITERATIONS = 3
+MIDPOINT_ITERATIONS = 2
 
 
 @dataclass(frozen=True)
@@ -131,25 +136,28 @@ class _PhaseCoeffs:
     """Constant coefficient arrays of one schedule phase (f fixed to 0 or 1)."""
 
     def __init__(self, spec: ReservoirSpec, f: int):
-        self.kerr = spec.kerr
+        self.kerr = -1j * spec.kerr                       # times alpha conj(alpha_tilde)
         self.base = 1j * spec.detuning - spec.loss / 2.0 + 0.5j * spec.kerr
         self.noise_coeff = math.sqrt(abs(spec.kerr)) * np.exp(-0.25j * np.pi)
         self.drive = -1j * spec.drive
-        self.hopping = spec.hopping
-        self.inject = np.sqrt(spec.source_loss * spec.loss * f) * spec.input_weights
+        self.hopping = 1j * spec.hopping if np.any(spec.hopping) else None
+        inject = np.sqrt(spec.source_loss * spec.loss * f) * spec.input_weights
+        self.inject = inject if np.any(inject) else None
         self.source_exp = -f * spec.eta * spec.source_loss / 2.0
 
+    def step_terms(self, noise, sources):
+        """A step's constants: base + noise, and drive - injection of sources (2, S)."""
+        if self.inject is None:
+            return self.base + noise, self.drive
+        return self.base + noise, self.drive - self.inject * sources[..., None]
 
-def _derivs(coeffs: _PhaseCoeffs, alpha, alpha_tilde, source, source_tilde, noise_a, noise_t):
-    """Split derivatives for batched amplitudes (..., N) and sources (...)."""
-    u = coeffs.kerr
-    d_exp_a = coeffs.base - 1j * u * (alpha * np.conj(alpha_tilde)) + noise_a
-    d_exp_t = coeffs.base - 1j * u * (alpha_tilde * np.conj(alpha)) + noise_t
-    d_res_a = coeffs.drive + 1j * (alpha @ coeffs.hopping) \
-        - coeffs.inject * source[..., None]
-    d_res_t = coeffs.drive + 1j * (alpha_tilde @ coeffs.hopping) \
-        - coeffs.inject * source_tilde[..., None]
-    return d_exp_a, d_res_a, d_exp_t, d_res_t
+
+def _derivs(coeffs: _PhaseCoeffs, pair, diag, forcing):
+    """Split derivatives (d_exp, d_res) of the stacked pair (2, S, N)."""
+    d_exp = diag + coeffs.kerr * (pair * np.conj(pair[::-1]))
+    if coeffs.hopping is not None:
+        forcing = forcing + (pair.reshape(-1, pair.shape[2]) @ coeffs.hopping).reshape(pair.shape)
+    return d_exp, forcing
 
 
 def _exp_bracket(d_exp: np.ndarray, tau: float):
@@ -157,38 +165,25 @@ def _exp_bracket(d_exp: np.ndarray, tau: float):
     z = tau * d_exp
     e = np.exp(z)
     small = np.abs(z) < 1e-5
-    if small.any():
-        safe = np.where(small, 1.0, d_exp)
-        series = tau * (1.0 + z / 2.0 + z * z / 6.0)
-        bracket = np.where(small, series, (e - 1.0) / safe)
-    else:
-        bracket = (e - 1.0) / d_exp
-    return e, bracket
+    if not small.any():
+        return e, (e - 1.0) / d_exp
+    series = tau * (1.0 + z / 2.0 + z * z / 6.0)
+    return e, np.where(small, series, (e - 1.0) / np.where(small, 1.0, d_exp))
 
 
-def _step_arrays(coeffs: _PhaseCoeffs, tau: float, alpha, alpha_tilde, source, source_tilde,
-                 noise_a, noise_t, iterations: int = MIDPOINT_ITERATIONS):
-    """One exponential semi-implicit midpoint step on batched arrays."""
+def _step_arrays(coeffs: _PhaseCoeffs, tau: float, pair, sources, noise):
+    """One exponential semi-implicit midpoint step of the stacked pair (2, S, N)
+    and sources (2, S), under the scaled noise (2, S, N)."""
     half = tau / 2.0
-    source_mid = source * math.exp(half * coeffs.source_exp)
-    source_tilde_mid = source_tilde * math.exp(half * coeffs.source_exp)
-    a_mid, t_mid = alpha, alpha_tilde
-    for _ in range(iterations):
-        d_exp_a, d_res_a, d_exp_t, d_res_t = _derivs(
-            coeffs, a_mid, t_mid, source_mid, source_tilde_mid, noise_a, noise_t)
-        e_a, b_a = _exp_bracket(d_exp_a, half)
-        e_t, b_t = _exp_bracket(d_exp_t, half)
-        a_mid = alpha * e_a + b_a * d_res_a
-        t_mid = alpha_tilde * e_t + b_t * d_res_t
-    d_exp_a, d_res_a, d_exp_t, d_res_t = _derivs(
-        coeffs, a_mid, t_mid, source_mid, source_tilde_mid, noise_a, noise_t)
-    e_a, b_a = _exp_bracket(d_exp_a, tau)
-    e_t, b_t = _exp_bracket(d_exp_t, tau)
-    decay = math.exp(tau * coeffs.source_exp)
-    return (alpha * e_a + b_a * d_res_a,
-            alpha_tilde * e_t + b_t * d_res_t,
-            source * decay,
-            source_tilde * decay)
+    diag, forcing = coeffs.step_terms(noise, sources * math.exp(half * coeffs.source_exp))
+    mid = pair
+    for _ in range(MIDPOINT_ITERATIONS):
+        d_exp, d_res = _derivs(coeffs, mid, diag, forcing)
+        e, bracket = _exp_bracket(d_exp, half)
+        mid = pair * e + bracket * d_res
+    d_exp, d_res = _derivs(coeffs, mid, diag, forcing)
+    e, bracket = _exp_bracket(d_exp, tau)
+    return pair * e + bracket * d_res, sources * math.exp(tau * coeffs.source_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +206,21 @@ def _trajectory_generators(base: tuple, start: int, count: int):
 class _BlockRun:
     """Integrate one block of trajectories over schedule steps [start, stop).
 
-    start must be a recorded step; the default range is the full schedule.
-    Rows whose `alive` entry is False count as diverged from the start.
+    `pair` (2, S, N) stacks alpha over alpha_tilde, `sources` (2, S) the
+    source pair.  start must be a recorded step (default: the whole
+    schedule); rows not `alive` count as diverged from the start.
     """
 
-    def __init__(self, spec: ReservoirSpec, schedule: Schedule, alpha0, alpha_tilde0,
-                 source0, source_tilde0, generators, threshold: float,
-                 keep_amplitudes: bool = False, start: int = 0, stop: int | None = None,
-                 alive=None):
-        self.spec = spec
+    def __init__(self, spec: ReservoirSpec, schedule: Schedule, pair0, sources0,
+                 generators, threshold: float, keep_amplitudes: bool = False,
+                 start: int = 0, stop: int | None = None, alive=None):
         self.schedule = schedule
         self.start = start
         self.stop = schedule.n_total if stop is None else stop
-        n = spec.n_modes
-        s = alpha0.shape[0]
+        _, s, n = pair0.shape
         self.coeffs = (_PhaseCoeffs(spec, 0), _PhaseCoeffs(spec, 1))
-        self.alpha = alpha0.astype(complex).copy()
-        self.alpha_tilde = alpha_tilde0.astype(complex).copy()
-        self.source = source0.astype(complex).copy()
-        self.source_tilde = source_tilde0.astype(complex).copy()
+        self.pair = pair0.astype(complex)            # astype copies
+        self.sources = sources0.astype(complex)
         self.generators = generators
         self.threshold = threshold
         self.alive = np.ones(s, dtype=bool) if alive is None else alive.copy()
@@ -237,20 +228,17 @@ class _BlockRun:
         t_rec = (self.stop - start) // schedule.record_stride + 1
         self.occupations = np.zeros((s, t_rec, n))
         self.source_occupations = np.zeros((s, t_rec))
-        self.keep_amplitudes = keep_amplitudes
-        if keep_amplitudes:
-            self.amp = np.zeros((s, t_rec, n), dtype=complex)
-            self.amp_tilde = np.zeros_like(self.amp)
-            self.src = np.zeros((s, t_rec), dtype=complex)
-            self.src_tilde = np.zeros_like(self.src)
+        self.amp = np.zeros((2, s, t_rec, n), dtype=complex) if keep_amplitudes else None
+        self.src = np.zeros((2, s, t_rec), dtype=complex) if keep_amplitudes else None
 
     def run(self):
         sched = self.schedule
-        n = self.spec.n_modes
-        s = self.alpha.shape[0]
+        _, s, n = self.pair.shape
         tau = sched.dt
         scale = 1.0 / math.sqrt(tau)
-        noise_buf = np.empty((s, NOISE_SLAB_STEPS, 2 * n))
+        # slab (step, 2, S, N): trajectory i's draws fill column i, in the
+        # order of a (length, 2N) draw whose first N columns drive alpha
+        noise_buf = np.empty((NOISE_SLAB_STEPS, 2, s, n))
         self._record(0)
         rec = 1
         with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
@@ -259,13 +247,11 @@ class _BlockRun:
                 if slab_pos == 0:
                     length = min(NOISE_SLAB_STEPS, self.stop - k)
                     for i, gen in enumerate(self.generators):
-                        noise_buf[i, :length] = gen.standard_normal((length, 2 * n))
+                        noise_buf[:length, :, i] = gen.standard_normal((length, 2, n))
                 coeffs = self.coeffs[0] if k < sched.n_relax else self.coeffs[1]
-                noise_a = noise_buf[:, slab_pos, :n] * (scale * coeffs.noise_coeff)
-                noise_t = noise_buf[:, slab_pos, n:] * (scale * coeffs.noise_coeff)
-                self.alpha, self.alpha_tilde, self.source, self.source_tilde = _step_arrays(
-                    coeffs, tau, self.alpha, self.alpha_tilde,
-                    self.source, self.source_tilde, noise_a, noise_t)
+                noise = noise_buf[slab_pos] * (scale * coeffs.noise_coeff)
+                self.pair, self.sources = _step_arrays(coeffs, tau, self.pair,
+                                                       self.sources, noise)
                 self._check_divergence((k + 1) * tau)
                 if (k + 1) % sched.record_stride == 0:
                     self._record(rec)
@@ -273,25 +259,24 @@ class _BlockRun:
         return self
 
     def _check_divergence(self, time: float):
-        metric = np.abs(self.alpha) ** 2 + np.abs(self.alpha_tilde) ** 2
-        bounded = np.all(metric <= self.threshold, axis=1)  # NaN compares False
+        square = self.pair.real ** 2 + self.pair.imag ** 2
+        within = square[0] + square[1] <= self.threshold   # NaN compares False
+        if within.all():
+            return
+        bounded = within.all(axis=1)
         newly_dead = self.alive & ~bounded
         if newly_dead.any():
             self.alive &= bounded
             self.diverged_at[newly_dead] = time
-            self.alpha[newly_dead] = 0
-            self.alpha_tilde[newly_dead] = 0
-            self.source[newly_dead] = 0
-            self.source_tilde[newly_dead] = 0
+            self.pair[:, newly_dead] = 0
+            self.sources[:, newly_dead] = 0
 
     def _record(self, rec: int):
-        self.occupations[:, rec, :] = np.real(self.alpha * np.conj(self.alpha_tilde))
-        self.source_occupations[:, rec] = np.real(self.source * np.conj(self.source_tilde))
-        if self.keep_amplitudes:
-            self.amp[:, rec, :] = self.alpha
-            self.amp_tilde[:, rec, :] = self.alpha_tilde
-            self.src[:, rec] = self.source
-            self.src_tilde[:, rec] = self.source_tilde
+        self.occupations[:, rec, :] = np.real(self.pair[0] * np.conj(self.pair[1]))
+        self.source_occupations[:, rec] = np.real(self.sources[0] * np.conj(self.sources[1]))
+        if self.amp is not None:
+            self.amp[:, :, rec, :] = self.pair
+            self.src[:, :, rec] = self.sources
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,21 +297,19 @@ def evolve_trajectory(initial: PhaseSamplePair, spec: ReservoirSpec, schedule: S
                       threshold: float = DEFAULT_THRESHOLD) -> TrajectoryRecord:
     """Integrate a single trajectory; equals trajectory `index` of run_ensemble
     under the same root seed."""
-    alpha0 = np.asarray(initial.alpha, dtype=complex).reshape(1, -1)
-    if alpha0.shape[1] != spec.n_modes:
+    pair0 = np.array([initial.alpha, initial.alpha_tilde], dtype=complex).reshape(2, 1, -1)
+    if pair0.shape[2] != spec.n_modes:
         raise ConfigError(
-            f"initial state has {alpha0.shape[1]} modes, reservoir has {spec.n_modes}")
+            f"initial state has {pair0.shape[2]} modes, reservoir has {spec.n_modes}")
     run = _BlockRun(
-        spec, schedule, alpha0,
-        np.asarray(initial.alpha_tilde, dtype=complex).reshape(1, -1),
-        np.array([initial.source], dtype=complex),
-        np.array([initial.source_tilde], dtype=complex),
+        spec, schedule, pair0,
+        np.array([[initial.source], [initial.source_tilde]], dtype=complex),
         _trajectory_generators(_seed_base(seed), index, 1),
         threshold, keep_amplitudes=True).run()
     diverged = not run.alive[0]
     return TrajectoryRecord(
-        times=schedule.times, alpha=run.amp[0], alpha_tilde=run.amp_tilde[0],
-        source=run.src[0], source_tilde=run.src_tilde[0],
+        times=schedule.times, alpha=run.amp[0, 0], alpha_tilde=run.amp[1, 0],
+        source=run.src[0, 0], source_tilde=run.src[1, 0],
         diverged=diverged, diverged_at=float(run.diverged_at[0]) if diverged else None)
 
 
@@ -350,47 +333,59 @@ def _vacuum_start(trajectories: int, n_modes: int) -> RelaxedStart:
                         alive=np.ones(trajectories, dtype=bool), series=None)
 
 
-def _block_runs(spec, schedule, initial: RelaxedStart, source0, source_tilde0,
-                base: tuple, threshold: float, start: int, stop: int):
+def _block_runs(spec, schedule, initial: RelaxedStart, sources0, base: tuple,
+                threshold: float, start: int, stop: int):
     """Integrate fixed 512-trajectory blocks in index order, yielding each run."""
     total = initial.alive.shape[0]
     for lo in range(0, total, BLOCK_TRAJECTORIES):
         hi = min(lo + BLOCK_TRAJECTORIES, total)
         yield _BlockRun(
-            spec, schedule, initial.alpha[lo:hi], initial.alpha_tilde[lo:hi],
-            source0[lo:hi], source_tilde0[lo:hi],
-            _trajectory_generators(base, lo, hi - lo), threshold,
+            spec, schedule, np.stack([initial.alpha[lo:hi], initial.alpha_tilde[lo:hi]]),
+            sources0[:, lo:hi], _trajectory_generators(base, lo, hi - lo), threshold,
             start=start, stop=stop, alive=initial.alive[lo:hi]).run()
 
 
 def _ensemble_series(runs, times, total: int, injection_time: float) -> OccupationSeries | None:
-    """Moments over the surviving trajectories of `runs`; None if none survived."""
-    sums = sq_sums = src_sums = 0.0
-    lo, hi, kept = np.inf, -np.inf, 0
+    """Moments over the surviving trajectories of `runs`; None if none survived.
+
+    Each block contributes (count, mean, M2) triples, merged in block order
+    by the Chan-Golub-LeVeque update (Am. Stat. 37, 242, 1983), so the
+    variance does not cancel catastrophically at large means.
+    """
+    occ = src = None
+    lo, hi = np.inf, -np.inf
     for run in runs:
-        occ = run.occupations[run.alive]
-        if occ.shape[0]:
-            sums += occ.sum(axis=0)
-            sq_sums += (occ * occ).sum(axis=0)
-            lo = np.minimum(lo, occ.min(axis=0))
-            hi = np.maximum(hi, occ.max(axis=0))
-            src_sums += run.source_occupations[run.alive].sum(axis=0)
-            kept += occ.shape[0]
-    if kept == 0:
+        block = run.occupations[run.alive]
+        if block.shape[0]:
+            occ = _merge_moments(occ, block)
+            src = _merge_moments(src, run.source_occupations[run.alive])
+            lo = np.minimum(lo, block.min(axis=0))
+            hi = np.maximum(hi, block.max(axis=0))
+    if occ is None:
         return None
-    mean = sums / kept
-    if kept > 1:
-        var = np.maximum(sq_sums - kept * mean ** 2, 0.0) / (kept - 1)
-        stderr = np.sqrt(var / kept)
-        stderr[hi == lo] = 0.0  # identical values: error is exactly zero
-    else:
-        stderr = np.zeros_like(mean)
+    kept, mean, m2 = occ
+    stderr = np.sqrt(m2 / max(kept - 1, 1) / kept)
+    stderr[hi == lo] = 0.0  # identical values: error is exactly zero
     return OccupationSeries(
         times=times, mean=mean, stderr=stderr,
         divergence_fraction=(total - kept) / total,
         n_trajectories=total,
         injection_time=injection_time,
-        source_occupation=src_sums / kept)
+        source_occupation=src[1])
+
+
+def _merge_moments(acc, block):
+    """Merge the (count, mean, M2) triple `acc` (None: empty) with `block`'s."""
+    count = block.shape[0]
+    mean = block.mean(axis=0)
+    m2 = ((block - mean) ** 2).sum(axis=0)
+    if acc is None:
+        return count, mean, m2
+    n_a, mean_a, m2_a = acc
+    total = n_a + count
+    delta = mean - mean_a
+    return (total, mean_a + delta * (count / total),
+            m2_a + m2 + delta * delta * (n_a * count / total))
 
 
 def relax_ensemble(spec: ReservoirSpec, schedule: Schedule, trajectories: int,
@@ -400,14 +395,12 @@ def relax_ensemble(spec: ReservoirSpec, schedule: Schedule, trajectories: int,
     if trajectories < 1:
         raise ConfigError(f"trajectory count must be >= 1, got {trajectories}")
     vacuum = _vacuum_start(trajectories, spec.n_modes)
-    runs = list(_block_runs(spec, schedule, vacuum, vacuum.alpha[:, 0], vacuum.alpha[:, 0],
+    runs = list(_block_runs(spec, schedule, vacuum, np.zeros((2, trajectories)),
                             _seed_base(seed), threshold, 0, schedule.n_relax))
     alive = np.concatenate([run.alive for run in runs])
+    pair = np.where(alive[:, None], np.concatenate([run.pair for run in runs], axis=1), 0)
     return RelaxedStart(
-        alpha=np.where(alive[:, None], np.concatenate([run.alpha for run in runs]), 0),
-        alpha_tilde=np.where(alive[:, None],
-                             np.concatenate([run.alpha_tilde for run in runs]), 0),
-        alive=alive,
+        alpha=pair[0], alpha_tilde=pair[1], alive=alive,
         series=_ensemble_series(runs, schedule.times[:schedule.injection_index + 1],
                                 trajectories, schedule.t_relax))
 
@@ -431,9 +424,9 @@ def run_ensemble(spec: ReservoirSpec, source_samples: PhaseSampleSet, schedule: 
     if initial.alpha.shape != (total, spec.n_modes):
         raise ConfigError(f"relaxed start has shape {initial.alpha.shape}, "
                           f"expected ({total}, {spec.n_modes})")
-    runs = _block_runs(spec, schedule, initial, source_samples.alpha,
-                       source_samples.alpha_tilde, _seed_base(seed), threshold,
-                       start, schedule.n_total)
+    runs = _block_runs(spec, schedule, initial,
+                       np.stack([source_samples.alpha, source_samples.alpha_tilde]),
+                       _seed_base(seed), threshold, start, schedule.n_total)
     series = _ensemble_series(runs, schedule.times[start // schedule.record_stride:],
                               total, schedule.t_relax)
     if series is None:
@@ -474,14 +467,15 @@ class StabilityScan:
 def stability_scan(f_values, *, kerr_values=None, loss_values=None,
                    trajectories: int = 500, horizon: float = 25.0, dt: float = 0.05,
                    seed=None, threshold: float = DEFAULT_THRESHOLD,
-                   kerr: float = 0.1, loss: float = 1.0) -> StabilityScan:
+                   kerr: float = 0.1, loss: float = 1.0, workers: int = 1) -> StabilityScan:
     """Map single-mode trajectory stability over a parameter grid.
 
     Exactly one of kerr_values / loss_values selects the second axis; the
     other parameter is held at its keyword value (loss=1 for the drive-kerr
     plane, kerr=0.1 for the drive-loss plane).  Each grid point integrates
     `trajectories` vacuum-start trajectories over `horizon` and reports the
-    fraction that stayed below the divergence threshold.
+    fraction that stayed below the divergence threshold.  Point (i, j) is
+    seeded base + (i, j), so `workers` processes give the same fractions as one.
     """
     if (kerr_values is None) == (loss_values is None):
         raise ConfigError("pass exactly one of kerr_values or loss_values")
@@ -494,24 +488,29 @@ def stability_scan(f_values, *, kerr_values=None, loss_values=None,
     steps = _exact_steps(horizon, dt, "horizon")
     schedule = Schedule(t_relax=0.0, t_final=horizon, dt=dt, record_stride=steps)
     vacuum = vacuum_samples(trajectories)
-    fraction = np.zeros((other.size, f_values.size))
-    for i, o in enumerate(other):
-        for j, f_amp in enumerate(f_values):
-            point = build_single_mode(
-                drive=f_amp,
-                kerr=(o if scanning_kerr else kerr),
-                loss=(loss if scanning_kerr else o))
-            try:
-                series = run_ensemble(point, vacuum, schedule,
-                                      seed=base + (i, j), threshold=threshold)
-                fraction[i, j] = 1.0 - series.divergence_fraction
-            except DivergenceError:
-                fraction[i, j] = 0.0
+    plans = [(build_single_mode(drive=f_amp, kerr=(o if scanning_kerr else kerr),
+                                loss=(loss if scanning_kerr else o)),
+              vacuum, schedule, base + (i, j), threshold)
+             for i, o in enumerate(other) for j, f_amp in enumerate(f_values)]
+    if workers > 1:
+        import multiprocessing
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
+            fractions = pool.starmap(_convergent_fraction, plans)
+    else:
+        fractions = [_convergent_fraction(*plan) for plan in plans]
     return StabilityScan(
         f_values=f_values, other_name="kerr" if scanning_kerr else "loss",
-        other_values=other, fraction=fraction, trajectories=trajectories,
-        horizon=horizon, dt=dt,
+        other_values=other, fraction=np.array(fractions).reshape(other.size, -1),
+        trajectories=trajectories, horizon=horizon, dt=dt,
         fixed={"loss": loss} if scanning_kerr else {"kerr": kerr})
+
+
+def _convergent_fraction(spec, samples, schedule, seed, threshold: float) -> float:
+    try:
+        series = run_ensemble(spec, samples, schedule, seed=seed, threshold=threshold)
+    except DivergenceError:
+        return 0.0
+    return 1.0 - series.divergence_fraction
 
 
 def build_single_mode(*, drive, kerr: float, loss: float, detuning: float = 0.0,

@@ -223,6 +223,10 @@ def test_stability_scan_writes_grid_csv(tmp_path, capsys):
     assert linear.shape[0] == 3
     assert np.all(linear[:, 2] == 1.0)
     assert np.all((data[:, 2] >= 0.0) & (data[:, 2] <= 1.0))
+    code, _, _ = run_cli(capsys, "--out-dir", str(tmp_path / "w2"), "--seed", "11",
+                         "--workers", "2", "stability-scan", "--config", config)
+    assert code == 0
+    assert sha256_file(tmp_path / "w2" / "stability.csv") == sha256_file(tmp_path / "stability.csv")
 
 
 def test_stability_scan_missing_axis_exits_2(tmp_path, capsys):

@@ -1,19 +1,29 @@
 """Stochastic integrator: drift split, exactness properties, ensembles, scans."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import max_se_ratio, plain_se
+from pplattice import dynamics
 from pplattice.dynamics import (PhaseSamplePair, RelaxedStart, Schedule, _BlockRun,
-                                _derivs, _PhaseCoeffs, _step_arrays,
+                                _derivs, _ensemble_series, _PhaseCoeffs, _step_arrays,
                                 _trajectory_generators, build_single_mode,
                                 evolve_trajectory, relax_ensemble, run_ensemble,
                                 stability_scan)
 from pplattice.errors import ConfigError, DivergenceError
 from pplattice.model import build_reservoir, shape_for_modes
-from pplattice.sampler import sample_coherent, sample_thermal, vacuum_samples
+from pplattice.sampler import (cat_state, sample_coherent, sample_state, sample_thermal,
+                               vacuum_samples)
+
+# the desk presets' reservoir and schedule at N = 4
+DESK_SCHEDULE = Schedule(t_relax=15.0, t_final=10.0, dt=0.05, record_stride=4)
+
+
+def desk_reservoir():
+    return build_reservoir(shape_for_modes(4), kerr=0.05, drive=0.5, loss=1.0, seed=7)
 
 
 def one(value):
@@ -21,12 +31,20 @@ def one(value):
     return np.atleast_1d(np.asarray(value, dtype=complex))
 
 
+def stacked(pair):
+    """The (2, 1, N) amplitude and (2, 1) source arrays of one trajectory."""
+    return (np.array([one(pair.alpha), one(pair.alpha_tilde)]).reshape(2, 1, -1),
+            np.array([one(pair.source), one(pair.source_tilde)]))
+
+
 def split(spec, f, pair, xi=0.0, xi_tilde=0.0):
-    """_derivs at one phase-space point; xi are unit noise draws of the modes."""
+    """_derivs at one phase-space point; xi are unit noise draws of the modes.
+    Returns (d_exp, d_res) of shape (2, 1, N): row 0 alpha, row 1 alpha_tilde."""
     coeffs = _PhaseCoeffs(spec, f)
-    return _derivs(coeffs, one(pair.alpha)[None, :], one(pair.alpha_tilde)[None, :],
-                   one(pair.source), one(pair.source_tilde),
-                   one(xi) * coeffs.noise_coeff, one(xi_tilde) * coeffs.noise_coeff)
+    amplitudes, sources = stacked(pair)
+    noise = np.array([xi, xi_tilde]).reshape(2, 1, 1) * coeffs.noise_coeff
+    d_exp, d_res = _derivs(coeffs, amplitudes, *coeffs.step_terms(noise, sources))
+    return d_exp, np.broadcast_to(d_res, d_exp.shape)
 
 
 # -- schedule -----------------------------------------------------------------
@@ -57,11 +75,10 @@ def test_noise_scaling():
     kerr, tau, count = 1e-4, 0.05, 20_000
     spec = build_single_mode(drive=0.0, kerr=kerr, loss=1.0)
     schedule = Schedule(t_relax=tau, t_final=0.0, dt=tau)
-    ones = np.ones((count, 1), dtype=complex)
-    run = _BlockRun(spec, schedule, ones, ones, ones[:, 0], ones[:, 0],
+    run = _BlockRun(spec, schedule, np.ones((2, count, 1)), np.ones((2, count)),
                     _trajectory_generators((0,), 0, count), threshold=1e10,
                     keep_amplitudes=True).run()
-    draws = ((np.log(run.amp[:, -1, 0]) + tau / 2.0) * np.exp(0.25j * math.pi)
+    draws = ((np.log(run.amp[0, :, -1, 0]) + tau / 2.0) * np.exp(0.25j * math.pi)
              / math.sqrt(kerr * tau)).real
     assert abs(draws.var() - 1.0) < 0.03
     assert abs(draws.mean()) < 3.0 / math.sqrt(draws.size)
@@ -74,10 +91,10 @@ def test_bare_decay_split():
     pair = PhaseSamplePair(alpha=np.array([0.3 + 0.1j]),
                            alpha_tilde=np.array([0.2j]),
                            source=0.5, source_tilde=0.5)
-    exp_alpha, res_alpha, exp_alpha_tilde, _ = split(spec, 0, pair)
-    assert exp_alpha[0, 0] == -0.5
-    assert res_alpha[0, 0] == 0.0
-    assert exp_alpha_tilde[0, 0] == -0.5
+    d_exp, d_res = split(spec, 0, pair)
+    assert d_exp[0, 0, 0] == -0.5
+    assert d_res[0, 0, 0] == 0.0
+    assert d_exp[1, 0, 0] == -0.5
     assert _PhaseCoeffs(spec, 0).source_exp == 0.0    # source frozen before injection
 
 
@@ -87,13 +104,13 @@ def test_kerr_split_coefficients():
     pair = PhaseSamplePair(alpha=np.array([1.0 + 0j]), alpha_tilde=np.array([1.0 + 0j]))
     quiet = split(spec, 0, pair)
     # -iU a at* - gamma/2 + iU/2
-    assert quiet[0][0, 0] == pytest.approx(-0.5 - 0.05j, abs=1e-15)
+    assert quiet[0][0, 0, 0] == pytest.approx(-0.5 - 0.05j, abs=1e-15)
     kicked = split(spec, 0, pair, xi=1.0)
-    noise_term = kicked[0][0, 0] - quiet[0][0, 0]
+    noise_term = kicked[0][0, 0, 0] - quiet[0][0, 0, 0]
     assert abs(noise_term) == pytest.approx(math.sqrt(kerr), abs=1e-15)
     assert noise_term == pytest.approx(math.sqrt(kerr) * np.exp(-1j * math.pi / 4),
                                        abs=1e-15)
-    assert kicked[2][0, 0] == quiet[2][0, 0]  # own noise only
+    assert kicked[0][1, 0, 0] == quiet[0][1, 0, 0]  # own noise only
 
 
 def test_source_split_during_injection():
@@ -107,15 +124,14 @@ def test_source_split_during_injection():
 def test_pure_decay_step_is_exact():
     spec = build_single_mode(drive=0.0, kerr=0.0, loss=1.0)
     coeffs = _PhaseCoeffs(spec, 0)
-    alpha, alpha_tilde = one(1.5 - 0.5j)[None, :], one(0.8j)[None, :]
-    source, source_tilde, quiet = one(0.0), one(0.0), np.zeros((1, 1))
+    pair, sources = stacked(PhaseSamplePair(alpha=one(1.5 - 0.5j), alpha_tilde=one(0.8j)))
+    quiet = np.zeros((2, 1, 1))
     tau = 0.3
     for _ in range(10):
-        alpha, alpha_tilde, source, source_tilde = _step_arrays(
-            coeffs, tau, alpha, alpha_tilde, source, source_tilde, quiet, quiet)
+        pair, sources = _step_arrays(coeffs, tau, pair, sources, quiet)
     decay = math.exp(-10 * tau / 2.0)
-    assert alpha[0, 0] == pytest.approx((1.5 - 0.5j) * decay, abs=1e-14)
-    assert alpha_tilde[0, 0] == pytest.approx(0.8j * decay, abs=1e-14)
+    assert pair[0, 0, 0] == pytest.approx((1.5 - 0.5j) * decay, abs=1e-14)
+    assert pair[1, 0, 0] == pytest.approx(0.8j * decay, abs=1e-14)
 
 
 def test_driven_linear_trajectory_matches_analytic_solution():
@@ -146,7 +162,69 @@ def test_source_decay_is_exact():
     assert np.max(np.abs(record.source[~frozen] - decay)) < 1e-13
 
 
+def test_two_midpoint_iterations_match_three_on_the_desk_setup(monkeypatch):
+    # same seed, same samples: the third iteration moves the means by a tiny
+    # fraction of their standard error
+    spec = desk_reservoir()
+    samples = sample_state(cat_state(1.25), 512, seed=8)
+    series = {}
+    for iterations in (2, 3):
+        monkeypatch.setattr(dynamics, "MIDPOINT_ITERATIONS", iterations)
+        series[iterations] = run_ensemble(spec, samples, DESK_SCHEDULE, seed=(4, 1))
+    assert series[2].divergence_fraction == series[3].divergence_fraction == 0.0
+    assert not np.array_equal(series[2].mean, series[3].mean)
+    assert max_se_ratio(series[2].mean, series[2].stderr,
+                        series[3].mean, series[3].stderr) < 0.05
+
+
+def test_trajectory_is_bitwise_equal_to_its_row_in_a_full_block():
+    # the hopping product runs on (2S, N) blocks: packing one row or 512
+    # must not change a bit of alpha or alpha_tilde
+    spec = desk_reservoir()
+    schedule = Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=2)
+    count = 512
+    samples = sample_state(cat_state(1.25), count, seed=3)
+    pair0 = np.zeros((2, count, spec.n_modes), dtype=complex)
+    block = _BlockRun(spec, schedule, pair0, np.stack([samples.alpha, samples.alpha_tilde]),
+                      _trajectory_generators((6,), 0, count), threshold=1e10,
+                      keep_amplitudes=True).run()
+    for i in (0, 1, 257, count - 1):
+        record = evolve_trajectory(
+            PhaseSamplePair(alpha=pair0[0, i], alpha_tilde=pair0[1, i],
+                            source=complex(samples.alpha[i]),
+                            source_tilde=complex(samples.alpha_tilde[i])),
+            spec, schedule, seed=6, index=i)
+        assert np.array_equal(record.alpha, block.amp[0, i])
+        assert np.array_equal(record.alpha_tilde, block.amp[1, i])
+        assert np.array_equal(record.source, block.src[0, i])
+
+
 # -- ensembles -------------------------------------------------------------------
+
+def test_block_reduction_matches_two_pass_reference_at_large_mean():
+    # mean 1e3, spread 0.1: a sum-of-squares variance keeps only 6 digits here
+    rng = np.random.default_rng(21)
+    sizes = (512, 512, 276)
+    values = 1e3 + 0.1 * rng.standard_normal((sum(sizes), 3, 2))
+    alive = rng.random(sum(sizes)) > 0.1
+    runs, lo = [], 0
+    for size in sizes:
+        runs.append(SimpleNamespace(occupations=values[lo:lo + size],
+                                    source_occupations=values[lo:lo + size, :, 0],
+                                    alive=alive[lo:lo + size]))
+        lo += size
+    series = _ensemble_series(runs, np.arange(3.0), sum(sizes), 0.0)
+    kept = values[alive]
+    count = kept.shape[0]
+    mean = np.array([[math.fsum(kept[:, t, j]) / count for j in range(2)]
+                     for t in range(3)])
+    var = np.array([[math.fsum((kept[:, t, j] - mean[t, j]) ** 2) / (count - 1)
+                     for j in range(2)] for t in range(3)])
+    assert np.allclose(series.mean, mean, rtol=1e-12, atol=0)
+    assert np.allclose(series.stderr, np.sqrt(var / count), rtol=1e-12, atol=0)
+    assert np.allclose(series.source_occupation, mean[:, 0], rtol=1e-12, atol=0)
+    assert series.divergence_fraction == (sum(sizes) - count) / sum(sizes)
+
 
 def test_zero_kerr_ensemble_is_deterministic():
     spec = build_single_mode(drive=1.0, kerr=0.0, loss=1.0)
@@ -342,6 +420,16 @@ def test_stability_scan_zero_kerr_row_is_fully_stable():
     lines = scan.to_csv().strip().split("\n")
     assert lines[0] == "f,kerr,convergent_fraction"
     assert len(lines) == 1 + 3 * 2
+
+
+def test_stability_scan_is_bit_identical_across_workers():
+    kwargs = dict(kerr_values=np.array([0.5, 1.0]), trajectories=30, horizon=5.0,
+                  dt=0.05, seed=4)
+    drives = np.array([1.0, 3.0, 5.0])
+    one = stability_scan(drives, **kwargs)
+    two = stability_scan(drives, workers=2, **kwargs)
+    assert np.array_equal(one.fraction, two.fraction)
+    assert 0.0 < one.fraction.min() < 1.0
 
 
 def test_stability_scan_loss_axis():
