@@ -376,26 +376,22 @@ class _Adam:
             p -= h.learning_rate * m_hat / (np.sqrt(v_hat) + h.eps)
 
 
-def _classifier_score(weights, bias, features, one_hot):
-    """(cross-entropy, accuracy) of a softmax readout on a whole split."""
-    logits = features @ weights.T + bias
-    hits = np.argmax(logits, axis=1) == np.argmax(one_hot, axis=1)
-    return cross_entropy(softmax(logits), one_hot), float(np.mean(hits))
+def _accuracy(logits, one_hot):
+    return float(np.mean(np.argmax(logits, axis=1) == np.argmax(one_hot, axis=1)))
 
 
-def _regressor_score(weights, bias, features, targets_2d):
-    """(MSE, MSE) of a linear readout on a whole split."""
-    mse = regressor_loss_and_grad(weights, bias, features, targets_2d)[0]
-    return mse, mse
+def _mse(pred, targets_2d):
+    return float(((pred - targets_2d) ** 2).sum() / pred.shape[0])
 
 
 def _train(kind: str, dataset: Dataset, y_train: np.ndarray, y_test: np.ndarray,
-           hyper: Hyperparams, loss_and_grad, score, classes=()):
+           hyper: Hyperparams, loss_and_grad, score, split_loss=None, classes=()):
     """Adam on a linear readout with y_train.shape[1] outputs.
 
     loss_and_grad(weights, bias, x, y) gives the minibatch loss and gradients;
-    score(weights, bias, x, y) gives (loss, score) on a whole split.  The train
-    curves hold the minibatch loss and the full-split score.
+    score(out, y) gives the score of the readout output on a whole split, and
+    split_loss(out, y) the test loss when it is not the score itself.  The
+    train curves hold the minibatch loss and the full-split score.
     """
     x_train = dataset.features("train")
     mean, std = x_train.mean(axis=0), x_train.std(axis=0)
@@ -422,10 +418,11 @@ def _train(kind: str, dataset: Dataset, y_train: np.ndarray, y_test: np.ndarray,
         opt.step([gw, gb])
 
         curves["train_loss"][epoch] = loss
-        curves["train_score"][epoch] = score(weights, bias, xs_train, y_train)[1]
+        curves["train_score"][epoch] = score(xs_train @ weights.T + bias, y_train)
         if xs_test.shape[0]:
-            curves["test_loss"][epoch], curves["test_score"][epoch] = \
-                score(weights, bias, xs_test, y_test)
+            out = xs_test @ weights.T + bias
+            test = curves["test_score"][epoch] = score(out, y_test)
+            curves["test_loss"][epoch] = split_loss(out, y_test) if split_loss else test
 
     model = ReadoutModel(kind=kind, weights=weights, bias=bias,
                          feature_mean=mean, feature_std=std, classes=classes)
@@ -439,8 +436,8 @@ def train_classifier(dataset: Dataset, hyper: Hyperparams = CLASSIFY_HYPERPARAMS
     if len(dataset.classes) < 2:
         raise ConfigError("classification needs at least two classes")
     return _train("classify", dataset, dataset.one_hot("train"), dataset.one_hot("test"),
-                  hyper, classifier_loss_and_grad, _classifier_score,
-                  classes=dataset.classes)
+                  hyper, classifier_loss_and_grad, _accuracy,
+                  lambda out, y: cross_entropy(softmax(out), y), classes=dataset.classes)
 
 
 def train_regressor(dataset: Dataset, hyper: Hyperparams = REGRESS_HYPERPARAMS):
@@ -452,7 +449,7 @@ def train_regressor(dataset: Dataset, hyper: Hyperparams = REGRESS_HYPERPARAMS):
     y_train = np.column_stack([z_train.real, z_train.imag])
     y_test = np.column_stack([z_test.real, z_test.imag]) if z_test.size else np.zeros((0, 2))
     return _train("regress", dataset, y_train, y_test, hyper,
-                  regressor_loss_and_grad, _regressor_score)
+                  regressor_loss_and_grad, _mse)
 
 
 @dataclass(frozen=True, eq=False)

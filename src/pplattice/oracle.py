@@ -19,13 +19,15 @@ solver propagates the reservoir factor alone and forms the tensor product
 (source first) only at the injection time.
 
 Propagation applies the action of the exponential of a matrix-free
-generator to the state over each phase's recording grid (Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33, 488, 2011, via scipy's expm_multiply); no
-D^2 x D^2 superoperator is formed.  Taylor degree and scaling come from
-1-norm estimates of powers of the shifted generator, and each series stops
-once further terms fall below unit roundoff relative to the propagated
-state: truncation is a backward error of unit roundoff on the state being
-propagated, not a certified operator-norm bound on the map.
+generator to the state by truncated Taylor stepping (Al-Mohy & Higham, SIAM
+J. Sci. Comput. 33, 488, 2011, Algorithm 3.2); no D^2 x D^2 superoperator is
+formed.  One plan per phase: a single 1-norm estimate of the shifted
+generator fixes the Taylor degree and the substep count of every recording
+interval, and each series stops once further terms fall below unit roundoff
+relative to the propagated state.  Truncation is a backward error of unit
+roundoff on the state being propagated, not a certified operator-norm bound
+on the map.  The generator is applied to Hermitian states only, in a form
+whose result is exactly Hermitian.
 
 Approximate one-step integrators, fixed-step RK4 included, are unusable
 here: the truncated loss cascade couples the (n, m) diagonals of rho
@@ -37,8 +39,9 @@ per unit time at truncations of 30 levels, independent of step size; the
 trace-norm contraction, so applying its action to roundoff accuracy keeps
 errors from compounding, and the only systematic error left is the
 Fock-space truncation itself.  Roundoff in the anti-Hermitian sector is
-not contracted by the map, so every recorded state, and the state handed
-to the injection phase, is projected onto its Hermitian part.
+not contracted by the map; the Hermitian application adds none, and every
+recorded state, and the state handed to the injection phase, is still
+projected onto its Hermitian part.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, expm_multiply
+from scipy.sparse.linalg import LinearOperator, onenormest
 from scipy.special import eval_genlaguerre
 
 from .dynamics import Schedule
@@ -61,7 +64,10 @@ from .sampler import StateSpec
 TAIL_TOLERANCE = 1e-8       # allowed Fock mass beyond the truncation
 TRACE_LIMIT = 1e-6          # trace drift that aborts a run
 MAX_DIM = 4000              # largest composite Hilbert dimension the solver accepts
-INTERVALS_PER_CALL = 8      # recording intervals propagated per expm_multiply call
+# theta_m: the largest h |A|_1 for which m Taylor terms of exp(h A) have a
+# backward error of unit roundoff (Al-Mohy & Higham 2011, Table 3.1, double)
+TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
+                35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
 
 
 def destroy(dim: int) -> np.ndarray:
@@ -272,14 +278,13 @@ def _generators(spec: ReservoirSpec, dims: tuple[int, ...], source_dim: int | No
 class _LindbladOperator(LinearOperator):
     """L(rho) = K rho + rho K^dag + sum_j A_j rho A_j^dag on row-major vec(rho).
 
-    For a general (non-Hermitian) rho, rho K^dag = (K rho^dag)^dag and
-    A rho A^dag = A (A rho^dag)^dag, so one application costs three sparse
-    products: [K; A_1; ...; A_N] and K on dense D x D operands, and
-    [A_1 ... A_N] on the stacked daggered jump blocks.  Daggered operands go
-    into preallocated C-ordered buffers: scipy copies a non-contiguous dense
-    operand, and each freed multi-MB temporary costs fresh page faults on the
-    next allocation.  The adjoint K^dag X + X K + sum_j A_j^dag X A_j is the
-    same code with K^dag and A_j^dag.
+    `hermitian` applies L to a Hermitian rho as Y + Y^dag, which is exactly
+    Hermitian, with Y = K rho + (1/2) sum_j A_j (A_j rho)^dag: two sparse
+    products, [K; A_1; ...; A_N] on rho and [A_1 ... A_N] on the daggered jump
+    blocks, which go into a preallocated C-ordered buffer since scipy copies a
+    non-contiguous dense operand.  matvec and rmatvec split a general X into
+    H_1 + i H_2 and apply `hermitian` to each; the adjoint K^dag X + X K +
+    sum_j A_j^dag X A_j uses K^dag and A_j^dag.
     """
 
     def __init__(self, k_op, jumps):
@@ -289,7 +294,6 @@ class _LindbladOperator(LinearOperator):
         self.forward = self._factors(k_op, jumps)
         self.backward = self._factors(k_op.conj().T.tocsr(),
                                       [a.conj().T.tocsr() for a in jumps])
-        self.dag = np.empty((d, d), dtype=complex)
         self.jump_dag = np.empty((len(jumps), d, d), dtype=complex)
         # traceless jump operators and a real tr K make this real
         self.trace = 2.0 * d * float(k_op.diagonal().sum().real) \
@@ -297,21 +301,22 @@ class _LindbladOperator(LinearOperator):
 
     @staticmethod
     def _factors(k_op, jumps):
-        return (k_op, sparse.vstack([k_op] + jumps, format="csr"),
-                sparse.hstack(jumps, format="csr"))
+        return (sparse.vstack([k_op] + jumps, format="csr"),
+                0.5 * sparse.hstack(jumps, format="csr"))
+
+    def hermitian(self, rho: np.ndarray, factors=None) -> np.ndarray:
+        stacked, side = factors or self.forward
+        left = stacked @ rho                      # K rho, then A_j rho
+        y, jumped = left[:self.d], left[self.d:].reshape(self.jump_dag.shape)
+        np.conjugate(jumped.transpose(0, 2, 1), out=self.jump_dag)
+        y += side @ self.jump_dag.reshape(-1, self.d)
+        return y + y.conj().T
 
     def _apply(self, factors, x: np.ndarray) -> np.ndarray:
-        k_op, stacked, side = factors
-        d = self.d
-        rho = x.reshape(d, d)
-        np.conjugate(rho.T, out=self.dag)
-        left = stacked @ self.dag                 # K rho^dag, then A_j rho^dag
-        out = k_op @ rho
-        np.conjugate(left[:d].T, out=self.dag)
-        out += self.dag
-        np.conjugate(left[d:].reshape(-1, d, d).transpose(0, 2, 1), out=self.jump_dag)
-        out += side @ self.jump_dag.reshape(-1, d)
-        return out.reshape(-1)
+        rho = x.reshape(self.d, self.d)
+        real, imag = 0.5 * (rho + rho.conj().T), -0.5j * (rho - rho.conj().T)
+        return (self.hermitian(real, factors)
+                + 1j * self.hermitian(imag, factors)).reshape(-1)
 
     def _matvec(self, x):
         return self._apply(self.forward, x)
@@ -323,28 +328,45 @@ class _LindbladOperator(LinearOperator):
 def _phase_states(k_op, jumps, rho: np.ndarray, segment: float, count: int):
     """Yield the Hermitian part of the state after each of `count` intervals.
 
-    One expm_multiply call estimates the generator's norms once for up to
-    INTERVALS_PER_CALL intervals; the cap keeps peak memory from growing
-    with the record count.  The estimates draw probe vectors from the legacy
-    global NumPy stream, so a fixed seed makes the result independent of the
-    caller's stream, which is restored afterwards.
+    One 1-norm estimate of the shifted generator A = L - mu I per phase sets
+    the Taylor degree m and the substep count s of every interval (Al-Mohy &
+    Higham 2011, Algorithm 3.2).  The estimate draws probe vectors from the
+    legacy global NumPy stream, so a fixed seed makes the result independent
+    of the caller's stream, which is restored afterwards.
     """
+    if not count:
+        return
     generator = _LindbladOperator(k_op, jumps)
-    while count:
-        step = min(INTERVALS_PER_CALL, count)
-        caller_state = np.random.get_state()
-        np.random.seed(0)
-        try:
-            chunk = expm_multiply(generator, rho.reshape(-1), start=0.0,
-                                  stop=step * segment, num=step + 1, endpoint=True,
-                                  traceA=generator.trace)
-        finally:
-            np.random.set_state(caller_state)
-        for state in chunk[1:].reshape((step,) + rho.shape):
-            rho = 0.5 * (state + state.conj().T)
-            yield rho
-        del chunk, state        # free them before the next chunk is computed
-        count -= step
+    mu = generator.trace / generator.d ** 2
+    shifted = LinearOperator(generator.shape, dtype=complex,
+                             matvec=lambda x: generator.matvec(x) - mu * x,
+                             rmatvec=lambda x: generator.rmatvec(x) - mu * x)
+    caller_state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        norm = onenormest(shifted)
+    finally:
+        np.random.set_state(caller_state)
+    degree, substeps = min(((m, max(1, math.ceil(segment * norm / theta)))
+                            for m, theta in TAYLOR_THETA.items()), key=math.prod)
+    h = segment / substeps
+    scale = math.exp(mu * h)
+    rho = 0.5 * (rho + rho.conj().T)         # `hermitian` needs a Hermitian state
+    for _ in range(count):
+        for _ in range(substeps):
+            total, term = rho.copy(), rho
+            c1 = np.abs(term).max()
+            for j in range(1, degree + 1):
+                term = generator.hermitian(term) - mu * term
+                term *= h / j
+                c2 = np.abs(term).max()
+                total += term
+                if c1 + c2 <= 2.0 ** -53 * np.abs(total).max():
+                    break
+                c1 = c2
+            rho = scale * total
+        rho = 0.5 * (rho + rho.conj().T)
+        yield rho
 
 
 @dataclass(frozen=True, eq=False)

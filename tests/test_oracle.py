@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import onenormest
 
 from conftest import max_se_ratio
+import pplattice.oracle as oracle
 from pplattice.dynamics import (PhaseSamplePair, Schedule, build_single_mode,
                                 evolve_trajectory, relax_ensemble, run_ensemble)
 from pplattice.errors import ConfigError, NumericsError, TruncationError
@@ -153,6 +155,20 @@ def test_matrix_free_generator_matches_superoperator():
     assert abs(np.trace(lsup).imag) < 1e-12
 
 
+def test_hermitian_application_matches_superoperator_and_is_hermitian():
+    spec = build_reservoir(shape_for_modes(2), kerr=0.05, seed=42)
+    k_op, jumps = _generators(spec, (3, 3), 4, f=1)
+    op = _LindbladOperator(k_op, jumps)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(op.d, op.d)) + 1j * rng.normal(size=(op.d, op.d))
+    rho = x + x.conj().T
+    out = op.hermitian(rho)
+    expected = (_superoperator(k_op, jumps) @ rho.reshape(-1)).reshape(rho.shape)
+    assert op.d == 36
+    assert np.max(np.abs(out - expected)) < 1e-13 * np.max(np.abs(expected))
+    assert np.array_equal(out, out.conj().T)
+
+
 # -- master-equation evolution ---------------------------------------------------------
 
 def test_undriven_vacuum_stays_vacuum():
@@ -256,8 +272,47 @@ def test_cascade_matches_superoperator_exponential():
     assert np.max(np.abs(series.final_state.data - rho)) < 1e-12
 
 
+def test_one_norm_estimate_per_phase(monkeypatch):
+    shapes = []
+
+    def counting(op, *args, **kwargs):
+        shapes.append(op.shape[0])
+        return onenormest(op, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "onenormest", counting)
+    spec = build_single_mode(drive=1.0, kerr=0.1, loss=1.0)
+    schedule = Schedule(t_relax=25.0, t_final=0.0, dt=0.05, record_stride=4)
+    series = evolve_master(vacuum_density(30), spec, None, schedule)
+    assert series.times.shape[0] - 1 == 125
+    assert shapes == [30 ** 2]
+    shapes.clear()
+    spec = build_reservoir(shape_for_modes(2), kerr=0.05, seed=42)
+    schedule = Schedule(t_relax=2.0, t_final=3.0, dt=0.05, record_stride=10)
+    evolve_master(vacuum_density((3, 2)), spec,
+                  build_state_fock(coherent_state(0.2), 5), schedule)
+    assert shapes == [6 ** 2, 30 ** 2]
+
+
+def test_long_phase_matches_superoperator_exponential():
+    # 50 unit intervals, each several Taylor substeps, against the dense
+    # exponential applied per interval with the same Hermitian projection
+    spec = build_single_mode(drive=1.0, kerr=0.1, loss=1.0)
+    schedule = Schedule(t_relax=50.0, t_final=0.0, dt=0.05, record_stride=20)
+    series = evolve_master(vacuum_density(16), spec, None, schedule)
+    step = expm(_superoperator(*_generators(spec, (16,), None, f=0)))
+    rho = vacuum_density(16).data
+    occupation = [0.0]
+    for _ in range(schedule.times.shape[0] - 1):
+        rho = (step @ rho.reshape(-1)).reshape(rho.shape)
+        rho = 0.5 * (rho + rho.conj().T)
+        occupation.append(expect_occupation(FockDensityMatrix(data=rho, dims=(16,))))
+    assert len(occupation) == 51
+    assert np.max(np.abs(series.occupation[:, 0] - np.array(occupation))) < 1e-12
+    assert np.max(np.abs(series.final_state.data - rho)) < 1e-12
+
+
 def test_master_equation_ignores_and_keeps_global_random_state():
-    # expm_multiply's norm estimates draw from the legacy global stream; at
+    # each phase's 1-norm estimate draws from the legacy global stream; at
     # this D = 192 unseeded estimates change the output bits
     spec = build_reservoir(shape_for_modes(2), kerr=0.05, seed=42)
     schedule = Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=20)
