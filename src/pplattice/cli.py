@@ -23,7 +23,7 @@ import scipy
 import yaml
 
 from . import __version__
-from .dynamics import Schedule, run_ensemble, stability_scan
+from .dynamics import DEFAULT_THRESHOLD, Schedule, run_ensemble, stability_scan
 from .errors import ConfigError, NumericsError
 from .learn import (BASELINE_PAIR_CONFUSED_ACCURACY, BASELINE_UNIFORM_ACCURACY,
                     CLASSIFY_HYPERPARAMS, REGRESS_HYPERPARAMS, Hyperparams,
@@ -192,7 +192,7 @@ def cmd_stability_scan(args) -> int:
     kwargs = dict(trajectories=int(cfg.get("trajectories", 500)),
                   horizon=float(cfg.get("horizon", 25.0)),
                   dt=float(cfg.get("dt", 0.05)),
-                  threshold=float(cfg.get("threshold", 1e10)),
+                  threshold=float(cfg.get("threshold", DEFAULT_THRESHOLD)),
                   seed=args.seed, workers=args.workers)
     if "kerr" in axes:
         kwargs["kerr_values"] = axes["kerr"]
@@ -354,6 +354,7 @@ def cmd_pipeline(args) -> int:
     runs = int(cfg.get("runs", 3))
     schedule = _pipeline_schedule(cfg.get("schedule", {}))
     hyper_cfg = cfg.get("hyperparams", {})
+    _pipeline_hyper(hyper_cfg, REGRESS_HYPERPARAMS, base_seed)   # refuse before simulating
     manifest = RunManifest(command="pipeline", started=_utc_now(), config=cfg,
                            seeds={"base": base_seed,
                                   "runs": [base_seed + 1000 + k for k in range(runs)]})
@@ -476,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("simulate", help="run a trajectory ensemble")
     m.add_argument("--reservoir", required=True)
     m.add_argument("--samples", required=True)
-    m.add_argument("--threshold", type=float, default=1e10)
+    m.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     m.add_argument("--name", default="occupations")
     _add_schedule_flags(m)
     m.set_defaults(func=cmd_simulate)

@@ -116,6 +116,8 @@ class Schedule:
 
 
 def _exact_steps(duration: float, dt: float, name: str) -> int:
+    if not math.isfinite(duration):
+        raise ConfigError(f"{name} must be finite, got {duration}")
     steps = round(duration / dt)
     if abs(steps * dt - duration) > 1e-9 * max(1.0, abs(duration)):
         raise ConfigError(f"{name}={duration} is not an integer multiple of dt={dt}")

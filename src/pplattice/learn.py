@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 import yaml
 
-from .dynamics import RelaxedStart, Schedule, relax_ensemble, run_ensemble, _seed_base
+from .dynamics import (DEFAULT_THRESHOLD, RelaxedStart, Schedule, relax_ensemble,
+                       run_ensemble, _seed_base)
 from .errors import ConfigError, DivergenceError
 from .model import ReservoirSpec
 from .observables import FeatureRecord, feature_vector, steady_occupations
@@ -30,6 +32,7 @@ from .sampler import StateSpec, sample_state
 
 CLASS_NAMES = ("cat", "squeezed_vacuum", "coherent")
 FLAG_DIVERGENCE_FRACTION = 0.10
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Reference accuracies for the three-class task: uniform guessing, and the
 # readout that separates squeezed states but lumps cat with coherent.
@@ -53,9 +56,6 @@ class Hyperparams:
     learning_rate: float = 5e-4
     epochs: int = 10_000
     batch_size: int | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -63,8 +63,10 @@ class Hyperparams:
             raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.batch_size is not None and (isinstance(self.batch_size, bool)
+                                            or not isinstance(self.batch_size, numbers.Integral)
+                                            or self.batch_size < 1):
+            raise ConfigError(f"batch size must be an integer >= 1, got {self.batch_size!r}")
 
 
 CLASSIFY_HYPERPARAMS = Hyperparams(learning_rate=5e-4, epochs=10_000, batch_size=None)
@@ -367,13 +369,13 @@ class _Adam:
         h = self.hyper
         self.t += 1
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= h.beta1
-            m += (1.0 - h.beta1) * g
-            v *= h.beta2
-            v += (1.0 - h.beta2) * g * g
-            m_hat = m / (1.0 - h.beta1 ** self.t)
-            v_hat = v / (1.0 - h.beta2 ** self.t)
-            p -= h.learning_rate * m_hat / (np.sqrt(v_hat) + h.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
+            p -= h.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _accuracy(logits, one_hot):
@@ -539,7 +541,8 @@ def _one_record(spec: ReservoirSpec, schedule: Schedule, relaxed: RelaxedStart,
 
 def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
                      train_count: int, test_count: int, trajectories: int,
-                     seed=None, threshold: float = 1e10, workers: int = 1) -> Dataset:
+                     seed=None, threshold: float = DEFAULT_THRESHOLD,
+                     workers: int = 1) -> Dataset:
     """Sample input states, run the reservoir, and assemble feature records.
 
     For classification train_count/test_count are per class.  The relaxation

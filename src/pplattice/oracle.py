@@ -21,13 +21,13 @@ solver propagates the reservoir factor alone and forms the tensor product
 Propagation applies the action of the exponential of a matrix-free
 generator to the state by truncated Taylor stepping (Al-Mohy & Higham, SIAM
 J. Sci. Comput. 33, 488, 2011, Algorithm 3.2); no D^2 x D^2 superoperator is
-formed.  One plan per phase: a single 1-norm estimate of the shifted
-generator fixes the Taylor degree and the substep count of every recording
-interval, and each series stops once further terms fall below unit roundoff
-relative to the propagated state.  Truncation is a backward error of unit
-roundoff on the state being propagated, not a certified operator-norm bound
-on the map.  The generator is applied to Hermitian states only, in a form
-whose result is exactly Hermitian.
+formed.  One plan per phase: a closed-form bound on the 1-norm of the
+generator shifted by tr L / D^2 fixes the Taylor degree and substep count
+of every recording interval, and each series stops once further terms
+fall below unit roundoff relative to the propagated state.  Truncation is
+a backward error of unit roundoff on the state being propagated, not a
+certified operator-norm bound on the map.  The generator is applied to
+Hermitian states only, in a form whose result is exactly Hermitian.
 
 Approximate one-step integrators, fixed-step RK4 included, are unusable
 here: the truncated loss cascade couples the (n, m) diagonals of rho
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, onenormest
 from scipy.special import eval_genlaguerre
 
 from .dynamics import Schedule
@@ -275,89 +274,75 @@ def _generators(spec: ReservoirSpec, dims: tuple[int, ...], source_dim: int | No
     return k_op.tocsr(), [a.tocsr() for a in jumps]
 
 
-class _LindbladOperator(LinearOperator):
-    """L(rho) = K rho + rho K^dag + sum_j A_j rho A_j^dag on row-major vec(rho).
+def _one_norm_bound(k_op, jumps) -> float:
+    """Upper bound on the 1-norm of L(rho) = K rho + rho K^dag + sum_j A_j rho A_j^dag.
 
-    `hermitian` applies L to a Hermitian rho as Y + Y^dag, which is exactly
-    Hermitian, with Y = K rho + (1/2) sum_j A_j (A_j rho)^dag: two sparse
-    products, [K; A_1; ...; A_N] on rho and [A_1 ... A_N] on the daggered jump
-    blocks, which go into a preallocated C-ordered buffer since scipy copies a
-    non-contiguous dense operand.  matvec and rmatvec split a general X into
-    H_1 + i H_2 and apply `hermitian` to each; the adjoint K^dag X + X K +
-    sum_j A_j^dag X A_j uses K^dag and A_j^dag.
+    Column (k, l) of L, the image of |k><l|, sums to at most
+    |K_kk + conj(K_ll)| + c_k + c_l + sum_j a_jk a_jl (triangle inequality),
+    where c holds the off-diagonal column sums of |K| and a_j the column
+    sums of |A_j|.  O(D^2) work; no D^2 x D^2 object is formed.
+    """
+    diag = k_op.diagonal()
+    off = np.asarray(abs(k_op).sum(axis=0)).ravel() - np.abs(diag)
+    a = np.array([np.asarray(abs(op).sum(axis=0)).ravel() for op in jumps])
+    columns = np.abs(np.add.outer(diag, diag.conj())) + np.add.outer(off, off) + a.T @ a
+    return float(columns.max())
+
+
+class _LindbladOperator:
+    """The shifted generator L - mu I, mu = tr L / D^2, on Hermitian rho.
+
+    The shift is folded into K' = K - (mu/2) I, so L(rho) - mu rho =
+    K' rho + rho K'^dag + sum_j A_j rho A_j^dag.  `hermitian` applies it as
+    Y + Y^dag, which is exactly Hermitian, with Y = K' rho + (1/2) sum_j
+    A_j (A_j rho)^dag: two sparse products, [K'; A_1; ...; A_N] on rho and
+    [A_1 ... A_N] on the daggered jump blocks, which go into a preallocated
+    C-ordered buffer since scipy copies a non-contiguous dense operand.
+    `norm` bounds the 1-norm of the shifted generator.
     """
 
     def __init__(self, k_op, jumps):
         d = k_op.shape[0]
-        super().__init__(dtype=complex, shape=(d * d, d * d))
         self.d = d
-        self.forward = self._factors(k_op, jumps)
-        self.backward = self._factors(k_op.conj().T.tocsr(),
-                                      [a.conj().T.tocsr() for a in jumps])
+        # tr L = 2 D Re tr K + sum_j |tr A_j|^2
+        self.mu = (2.0 * d * float(k_op.diagonal().sum().real)
+                   + sum(abs(a.diagonal().sum()) ** 2 for a in jumps)) / d ** 2
+        shifted = (k_op - 0.5 * self.mu * sparse.identity(d, dtype=complex)).tocsr()
+        self.norm = _one_norm_bound(shifted, jumps)
+        self.stacked = sparse.vstack([shifted] + jumps, format="csr")
+        self.side = 0.5 * sparse.hstack(jumps, format="csr")
         self.jump_dag = np.empty((len(jumps), d, d), dtype=complex)
-        # traceless jump operators and a real tr K make this real
-        self.trace = 2.0 * d * float(k_op.diagonal().sum().real) \
-            + sum(abs(a.diagonal().sum()) ** 2 for a in jumps)
 
-    @staticmethod
-    def _factors(k_op, jumps):
-        return (sparse.vstack([k_op] + jumps, format="csr"),
-                0.5 * sparse.hstack(jumps, format="csr"))
-
-    def hermitian(self, rho: np.ndarray, factors=None) -> np.ndarray:
-        stacked, side = factors or self.forward
-        left = stacked @ rho                      # K rho, then A_j rho
+    def hermitian(self, rho: np.ndarray) -> np.ndarray:
+        left = self.stacked @ rho                 # K' rho, then A_j rho
         y, jumped = left[:self.d], left[self.d:].reshape(self.jump_dag.shape)
         np.conjugate(jumped.transpose(0, 2, 1), out=self.jump_dag)
-        y += side @ self.jump_dag.reshape(-1, self.d)
+        y += self.side @ self.jump_dag.reshape(-1, self.d)
         return y + y.conj().T
-
-    def _apply(self, factors, x: np.ndarray) -> np.ndarray:
-        rho = x.reshape(self.d, self.d)
-        real, imag = 0.5 * (rho + rho.conj().T), -0.5j * (rho - rho.conj().T)
-        return (self.hermitian(real, factors)
-                + 1j * self.hermitian(imag, factors)).reshape(-1)
-
-    def _matvec(self, x):
-        return self._apply(self.forward, x)
-
-    def _rmatvec(self, x):
-        return self._apply(self.backward, x)
 
 
 def _phase_states(k_op, jumps, rho: np.ndarray, segment: float, count: int):
     """Yield the Hermitian part of the state after each of `count` intervals.
 
-    One 1-norm estimate of the shifted generator A = L - mu I per phase sets
-    the Taylor degree m and the substep count s of every interval (Al-Mohy &
-    Higham 2011, Algorithm 3.2).  The estimate draws probe vectors from the
-    legacy global NumPy stream, so a fixed seed makes the result independent
-    of the caller's stream, which is restored afterwards.
+    The shifted generator A = L - mu I and its closed-form 1-norm bound are
+    built once per phase; the bound sets the Taylor degree m and the substep
+    count s of every interval (Al-Mohy & Higham 2011, Algorithm 3.2), and
+    e^{mu h} restores the shift after each substep.
     """
     if not count:
         return
     generator = _LindbladOperator(k_op, jumps)
-    mu = generator.trace / generator.d ** 2
-    shifted = LinearOperator(generator.shape, dtype=complex,
-                             matvec=lambda x: generator.matvec(x) - mu * x,
-                             rmatvec=lambda x: generator.rmatvec(x) - mu * x)
-    caller_state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        norm = onenormest(shifted)
-    finally:
-        np.random.set_state(caller_state)
-    degree, substeps = min(((m, max(1, math.ceil(segment * norm / theta)))
+    degree, substeps = min(((m, max(1, math.ceil(segment * generator.norm / theta)))
                             for m, theta in TAYLOR_THETA.items()), key=math.prod)
     h = segment / substeps
-    scale = math.exp(mu * h)
+    scale = math.exp(generator.mu * h)
     rho = 0.5 * (rho + rho.conj().T)         # `hermitian` needs a Hermitian state
     for _ in range(count):
         for _ in range(substeps):
             total, term = rho.copy(), rho
             c1 = np.abs(term).max()
             for j in range(1, degree + 1):
-                term = generator.hermitian(term) - mu * term
+                term = generator.hermitian(term)
                 term *= h / j
                 c2 = np.abs(term).max()
                 total += term

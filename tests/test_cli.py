@@ -205,6 +205,18 @@ def test_simulate_bad_stride_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+def test_simulate_non_finite_duration_exits_2(tmp_path, capsys):
+    reservoir, samples = simulate_setup(tmp_path, capsys)
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "x"),
+                           "simulate", "--reservoir", reservoir,
+                           "--samples", samples, "--t-relax", "nan",
+                           "--t-final", "1.0", "--dt", "0.05", "--stride", "4")
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "t_relax" in record["message"]
+
+
 # -- stability-scan ----------------------------------------------------------
 
 def test_stability_scan_writes_grid_csv(tmp_path, capsys):
@@ -385,6 +397,18 @@ def test_pipeline_unknown_task_exits_2(tmp_path, capsys):
                            "pipeline", "--config", config)
     assert code == 2
     assert "task" in json.loads(err)["message"]
+
+
+def test_pipeline_fractional_batch_size_exits_2(tmp_path, capsys):
+    config = write_yaml(tmp_path / "experiment.yaml",
+                        {**MICRO_CLASSIFY, "hyperparams": {"epochs": 40, "batch_size": 1.5}})
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path),
+                           "pipeline", "--config", config)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "batch size" in record["message"]
+    assert not (tmp_path / "dataset.csv").exists()
 
 
 # -- module entry point ------------------------------------------------------

@@ -66,6 +66,14 @@ def test_schedule_validation():
         Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=3)
     with pytest.raises(ConfigError):
         Schedule(t_relax=1.3, t_final=1.0, dt=0.5, record_stride=1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            Schedule(t_relax=bad, t_final=1.0, dt=0.05, record_stride=1)
+        with pytest.raises(ConfigError, match="finite"):
+            Schedule(t_relax=1.0, t_final=bad, dt=0.05, record_stride=1)
+        with pytest.raises(ConfigError, match="finite"):
+            stability_scan(np.array([1.0]), kerr_values=np.array([0.1]),
+                           trajectories=5, horizon=bad)
 
 
 def test_noise_scaling():

@@ -209,6 +209,10 @@ def test_hyperparameter_validation():
         Hyperparams(learning_rate=0.1, epochs=0)
     with pytest.raises(ConfigError):
         Hyperparams(learning_rate=0.1, epochs=10, batch_size=0)
+    for bad in (1.5, 150.0, True):
+        with pytest.raises(ConfigError, match="batch size"):
+            Hyperparams(learning_rate=0.1, epochs=10, batch_size=bad)
+    assert Hyperparams(learning_rate=0.1, epochs=10, batch_size=np.int64(4)).batch_size == 4
 
 
 # -- evaluation ----------------------------------------------------------------------
