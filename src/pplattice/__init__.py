@@ -22,8 +22,7 @@ from .dynamics import (Schedule, PhaseSamplePair, TrajectoryRecord,
                        StabilityScan, build_single_mode, evolve_trajectory,
                        run_ensemble, stability_scan)
 from .observables import (OccupationSeries, FeatureRecord, occupation,
-                          load_series, series_from_csv, steady_occupations,
-                          feature_vector)
+                          series_from_csv, steady_occupations, feature_vector)
 from .oracle import (FockDensityMatrix, MasterSeries, WignerGrid, destroy,
                      number_op, vacuum_density, build_state_fock,
                      expect_occupation, evolve_master, wigner_grid)

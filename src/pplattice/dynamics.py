@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .model import ReservoirSpec
-from .observables import OccupationSeries
+from .observables import OccupationSeries, occupation
 from .sampler import PhaseSampleSet, vacuum_samples
 
 BLOCK_TRAJECTORIES = 512   # fixed reduction block; do not tune per machine
@@ -81,8 +81,6 @@ class Schedule:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.t_relax < 0 or self.t_final < 0:
             raise ConfigError("phase durations must be >= 0")
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
@@ -116,6 +114,8 @@ class Schedule:
 
 
 def _exact_steps(duration: float, dt: float, name: str) -> int:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(duration):
         raise ConfigError(f"{name} must be finite, got {duration}")
     steps = round(duration / dt)
@@ -274,8 +274,8 @@ class _BlockRun:
             self.sources[:, newly_dead] = 0
 
     def _record(self, rec: int):
-        self.occupations[:, rec, :] = np.real(self.pair[0] * np.conj(self.pair[1]))
-        self.source_occupations[:, rec] = np.real(self.sources[0] * np.conj(self.sources[1]))
+        self.occupations[:, rec, :] = occupation(self.pair[0], self.pair[1])
+        self.source_occupations[:, rec] = occupation(self.sources[0], self.sources[1])
         if self.amp is not None:
             self.amp[:, :, rec, :] = self.pair
             self.src[:, :, rec] = self.sources
@@ -494,17 +494,21 @@ def stability_scan(f_values, *, kerr_values=None, loss_values=None,
                                 loss=(loss if scanning_kerr else o)),
               vacuum, schedule, base + (i, j), threshold)
              for i, o in enumerate(other) for j, f_amp in enumerate(f_values)]
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            fractions = pool.starmap(_convergent_fraction, plans)
-    else:
-        fractions = [_convergent_fraction(*plan) for plan in plans]
+    fractions = _pool_starmap(_convergent_fraction, plans, workers)
     return StabilityScan(
         f_values=f_values, other_name="kerr" if scanning_kerr else "loss",
         other_values=other, fraction=np.array(fractions).reshape(other.size, -1),
         trajectories=trajectories, horizon=horizon, dt=dt,
         fixed={"loss": loss} if scanning_kerr else {"kerr": kerr})
+
+
+def _pool_starmap(fn, plans, workers: int) -> list:
+    """[fn(*plan) for plan in plans], fanned out over `workers` spawned processes."""
+    if workers <= 1:
+        return [fn(*plan) for plan in plans]
+    import multiprocessing
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        return pool.starmap(fn, plans)
 
 
 def _convergent_fraction(spec, samples, schedule, seed, threshold: float) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from .dynamics import (DEFAULT_THRESHOLD, RelaxedStart, Schedule, relax_ensemble,
-                       run_ensemble, _seed_base)
+                       run_ensemble, _pool_starmap, _seed_base)
 from .errors import ConfigError, DivergenceError
 from .model import ReservoirSpec
 from .observables import FeatureRecord, feature_vector, steady_occupations
@@ -571,12 +571,7 @@ def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
             (train_idx if i < train_count else test_idx).append(len(plans))
             plans.append((spec, schedule, relaxed, state, label, target, trajectories,
                           base + (1, c, i), base + (2, c, i), threshold))
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            records = pool.starmap(_one_record, plans)
-    else:
-        records = [_one_record(*plan) for plan in plans]
+    records = _pool_starmap(_one_record, plans, workers)
     return Dataset(task=task, records=tuple(records),
                    train_indices=tuple(train_idx), test_indices=tuple(test_idx),
                    classes=CLASS_NAMES if task == "classify" else ())

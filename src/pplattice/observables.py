@@ -89,12 +89,6 @@ class OccupationSeries:
             fh.write(self.to_csv())
 
 
-def load_series(path) -> OccupationSeries:
-    with open(path) as fh:
-        text = fh.read()
-    return series_from_csv(text, origin=str(path))
-
-
 def series_from_csv(text: str, origin: str = "<csv>") -> OccupationSeries:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("time,"):

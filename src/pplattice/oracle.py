@@ -42,6 +42,10 @@ Fock-space truncation itself.  Roundoff in the anti-Hermitian sector is
 not contracted by the map; the Hermitian application adds none, and every
 recorded state, and the state handed to the injection phase, is still
 projected onto its Hermitian part.
+
+SciPy's sparse and special modules load on first use inside the functions
+that need them, so importing the package and running the phase-space paths
+never pays for them.
 """
 
 from __future__ import annotations
@@ -51,8 +55,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import eval_genlaguerre
 
 from .dynamics import Schedule
 from .errors import ConfigError, NumericsError, TruncationError
@@ -230,7 +232,8 @@ def expect_occupation(rho: FockDensityMatrix, mode: int = 0) -> float:
 # cascade master equation
 
 
-def _embed(op: np.ndarray, dims: tuple[int, ...], position: int) -> sparse.csr_matrix:
+def _embed(op: np.ndarray, dims: tuple[int, ...], position: int):
+    from scipy import sparse
     mat = sparse.csr_matrix(np.eye(1, dtype=complex))
     for k, d in enumerate(dims):
         factor = sparse.csr_matrix(op) if k == position else sparse.identity(d, dtype=complex, format="csr")
@@ -240,6 +243,7 @@ def _embed(op: np.ndarray, dims: tuple[int, ...], position: int) -> sparse.csr_m
 
 def _generators(spec: ReservoirSpec, dims: tuple[int, ...], source_dim: int | None, f: int):
     """Sparse K and jump operators for the (optionally source-extended) space."""
+    from scipy import sparse
     full_dims = ((source_dim,) + dims) if source_dim else dims
     offset = 1 if source_dim else 0
     n = spec.n_modes
@@ -302,6 +306,7 @@ class _LindbladOperator:
     """
 
     def __init__(self, k_op, jumps):
+        from scipy import sparse
         d = k_op.shape[0]
         self.d = d
         # tr L = 2 D Re tr K + sum_j |tr A_j|^2
@@ -460,6 +465,7 @@ class WignerGrid:
 
 def _displacement_column(n: np.ndarray, m: int, z: np.ndarray) -> np.ndarray:
     """<n|D(z)|m> for all n at fixed m, evaluated on an array of z."""
+    from scipy.special import eval_genlaguerre
     out = np.zeros(n.shape + z.shape, dtype=complex)
     zz = np.abs(z) ** 2
     gauss = np.exp(-zz / 2.0)

@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
 from conftest import max_se_ratio
@@ -25,6 +26,8 @@ from pplattice.oracle import (build_state_fock, evolve_master, expect_occupation
                               vacuum_density)
 from pplattice.sampler import (cat_state, coherent_state, mean_occupation,
                                sample_state, squeezed_state, vacuum_samples)
+
+pytestmark = pytest.mark.gate
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 

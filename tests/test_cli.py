@@ -4,8 +4,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -250,6 +252,20 @@ def test_stability_scan_missing_axis_exits_2(tmp_path, capsys):
     assert "axis" in json.loads(err)["message"]
 
 
+def test_stability_scan_zero_dt_exits_2(tmp_path, capsys):
+    config = write_yaml(tmp_path / "scan.yaml", {
+        "f": {"start": 0.0, "stop": 2.0, "count": 3},
+        "kerr": {"start": 0.0, "stop": 0.5, "count": 2},
+        "trajectories": 16, "horizon": 3.0, "dt": 0})
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path),
+                           "stability-scan", "--config", config)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "dt" in record["message"]
+    assert not (tmp_path / "stability.csv").exists()
+
+
 # -- oracle-compare ----------------------------------------------------------
 
 def test_oracle_compare_drive_only_matches_master_equation(tmp_path, capsys):
@@ -421,3 +437,37 @@ def test_module_runs_as_script(tmp_path):
     assert result.returncode == 0
     assert (tmp_path / "reservoir.yaml").exists()
     assert "wrote" in result.stdout
+
+
+LAZY_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+import pplattice as pp
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.startswith(("scipy.sparse", "scipy.special")))
+
+spec = pp.build_reservoir(2, kerr=0.1, seed=1)
+schedule = pp.Schedule(t_relax=0.5, t_final=0.5, dt=0.05, record_stride=5)
+pp.generate_dataset("classify", spec, schedule, train_count=1, test_count=0,
+                    trajectories=8, seed=1)
+pp.stability_scan(np.array([0.0, 1.0]), kerr_values=np.array([0.1]),
+                  trajectories=8, horizon=0.5, seed=1)
+assert not loaded(), loaded()
+series = pp.evolve_master(pp.vacuum_density(4), pp.build_single_mode(
+    drive=0.5, kerr=0.1, loss=1.0), None, schedule)
+assert np.all(np.isfinite(series.occupation))
+grid = pp.wigner_grid(pp.build_state_fock(pp.coherent_state(0.5), 8),
+                      np.linspace(-4, 4, 41), np.linspace(-4, 4, 41))
+assert np.all(np.isfinite(grid.values))
+assert loaded()
+"""
+
+
+def test_phase_space_paths_do_not_load_scipy_sparse_or_special():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", LAZY_SCIPY_SCRIPT],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

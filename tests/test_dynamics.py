@@ -448,6 +448,15 @@ def test_stability_scan_loss_axis():
     assert np.all(scan.fraction == 1.0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.05, math.nan, math.inf])
+def test_bad_dt_is_refused(dt):
+    with pytest.raises(ConfigError, match="dt must be positive"):
+        Schedule(t_relax=1.0, t_final=1.0, dt=dt, record_stride=1)
+    with pytest.raises(ConfigError, match="dt must be positive"):
+        stability_scan(np.array([1.0]), kerr_values=np.array([0.1]),
+                       trajectories=5, horizon=1.0, dt=dt)
+
+
 def test_stability_scan_requires_exactly_one_axis():
     with pytest.raises(ConfigError):
         stability_scan(np.array([1.0]), trajectories=5, horizon=1.0)
