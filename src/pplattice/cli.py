@@ -15,7 +15,7 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,33 +55,31 @@ def _versions() -> dict:
 
 @dataclass
 class RunManifest:
-    """Everything needed to reproduce the run's outputs bit-for-bit."""
+    """Everything needed to reproduce the run's outputs bit-for-bit.
+
+    `output` hands out the path of an output file in `out_dir` and registers
+    it; `save` records the sha256 of every registered file as it is on disk.
+    """
 
     command: str
+    out_dir: Path
     config: dict
     seeds: dict
-    started: str
-    versions: dict = field(default_factory=_versions)
-    finished: str = ""
-    outputs: dict = field(default_factory=dict)
+    started: str = field(default_factory=_utc_now)
+    outputs: list = field(default_factory=list)
 
-    def add_output(self, path: Path):
-        self.outputs[path.name] = _sha256(path)
+    def output(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return self.out_dir / name
 
-    def save(self, path: Path):
-        self.finished = _utc_now()
+    def save(self, name: str):
+        """Write `<name>.manifest.yaml` next to the outputs."""
         body = {"command": self.command, "config": self.config,
-                "seeds": self.seeds, "versions": self.versions,
-                "started": self.started, "finished": self.finished,
-                "outputs": self.outputs}
-        with open(path, "w") as fh:
-            yaml.safe_dump(body, fh, sort_keys=True)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+                "seeds": self.seeds, "versions": _versions(),
+                "started": self.started, "finished": _utc_now(),
+                "outputs": {n: _sha256(self.out_dir / n) for n in self.outputs}}
+        (self.out_dir / f"{name}.manifest.yaml").write_text(yaml.safe_dump(body, sort_keys=True))
 
 
 def _load_yaml(path) -> dict:
@@ -95,6 +93,15 @@ def _load_yaml(path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must hold a mapping, got {type(data).__name__}")
     return data
+
+
+def _block(cfg: dict, key: str) -> dict:
+    """The optional sub-mapping `cfg[key]`, empty when absent."""
+    block = cfg.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"config block {key!r} must be a mapping, "
+                          f"got {type(block).__name__}")
+    return block
 
 
 def _state_from_file(path) -> StateSpec:
@@ -120,9 +127,8 @@ def _add_schedule_flags(sub, t_relax=15.0, t_final=10.0, dt=0.05, stride=4):
 # Subcommands
 
 
-def cmd_gen_reservoir(args) -> int:
-    out = _out_dir(args)
-    manifest = RunManifest(command="gen-reservoir", started=_utc_now(),
+def cmd_gen_reservoir(args) -> None:
+    manifest = RunManifest("gen-reservoir", args.out_dir,
                            config={"modes": args.modes, "kerr": args.kerr,
                                    "drive": args.drive, "loss": args.loss,
                                    "source_loss": args.source_loss},
@@ -130,35 +136,29 @@ def cmd_gen_reservoir(args) -> int:
     spec = build_reservoir(shape_for_modes(args.modes), kerr=args.kerr,
                            drive=args.drive, loss=args.loss,
                            source_loss=args.source_loss, seed=args.seed)
-    spec_path = out / f"{args.name}.yaml"
+    spec_path = manifest.output(f"{args.name}.yaml")
     spec.save(spec_path)
-    manifest.add_output(spec_path)
-    manifest.save(out / f"{args.name}.manifest.yaml")
+    manifest.save(args.name)
     print(f"wrote {spec_path} ({spec.n_modes} modes, kerr={args.kerr})")
-    return 0
 
 
-def cmd_sample_state(args) -> int:
-    out = _out_dir(args)
+def cmd_sample_state(args) -> None:
     state = _state_from_file(args.state)
-    manifest = RunManifest(command="sample-state", started=_utc_now(),
+    manifest = RunManifest("sample-state", args.out_dir,
                            config={"state": state.to_dict(), "count": args.count},
                            seeds={"sampler": args.seed})
     samples = sample_state(state, args.count, seed=args.seed)
-    path = out / f"{args.name}.samples"
+    path = manifest.output(f"{args.name}.samples")
     samples.save(path)
-    manifest.add_output(path)
-    manifest.save(out / f"{args.name}.manifest.yaml")
+    manifest.save(args.name)
     print(f"wrote {path} ({args.count} samples of {state.kind})")
-    return 0
 
 
-def cmd_simulate(args) -> int:
-    out = _out_dir(args)
+def cmd_simulate(args) -> None:
     spec = load_reservoir(args.reservoir)
     samples = load_samples(args.samples)
     schedule = _schedule_from_args(args)
-    manifest = RunManifest(command="simulate", started=_utc_now(),
+    manifest = RunManifest("simulate", args.out_dir,
                            config={"reservoir": spec.to_dict(),
                                    "schedule": vars(schedule).copy(),
                                    "samples": str(args.samples),
@@ -166,16 +166,13 @@ def cmd_simulate(args) -> int:
                            seeds={"ensemble": args.seed})
     series = run_ensemble(spec, samples, schedule, seed=args.seed,
                           threshold=args.threshold)
-    path = out / f"{args.name}.csv"
+    path = manifest.output(f"{args.name}.csv")
     series.save(path)
-    manifest.add_output(path)
-    manifest.save(out / f"{args.name}.manifest.yaml")
+    manifest.save(args.name)
     print(f"wrote {path} (divergence fraction {series.divergence_fraction:.4f})")
-    return 0
 
 
-def cmd_stability_scan(args) -> int:
-    out = _out_dir(args)
+def cmd_stability_scan(args) -> None:
     cfg = _load_yaml(args.config)
     axes = {}
     for name in ("f", "kerr", "loss"):
@@ -188,7 +185,7 @@ def cmd_stability_scan(args) -> int:
                 raise ConfigError(f"axis {name!r} needs start/stop/count: {exc}") from None
     if "f" not in axes or len(axes) != 2:
         raise ConfigError("scan config needs an 'f' axis plus exactly one of 'kerr'/'loss'")
-    fixed = cfg.get("fixed", {})
+    fixed = _block(cfg, "fixed")
     kwargs = dict(trajectories=int(cfg.get("trajectories", 500)),
                   horizon=float(cfg.get("horizon", 25.0)),
                   dt=float(cfg.get("dt", 0.05)),
@@ -200,20 +197,17 @@ def cmd_stability_scan(args) -> int:
     else:
         kwargs["loss_values"] = axes["loss"]
         kwargs["kerr"] = float(fixed.get("kerr", 0.1))
-    manifest = RunManifest(command="stability-scan", started=_utc_now(),
-                           config=cfg, seeds={"scan": args.seed})
+    manifest = RunManifest("stability-scan", args.out_dir, config=cfg,
+                           seeds={"scan": args.seed})
     scan = stability_scan(axes["f"], **kwargs)
-    path = out / f"{args.name}.csv"
+    path = manifest.output(f"{args.name}.csv")
     scan.save(path)
-    manifest.add_output(path)
-    manifest.save(out / f"{args.name}.manifest.yaml")
+    manifest.save(args.name)
     print(f"wrote {path} (min fraction {scan.fraction.min():.3f}, "
           f"max {scan.fraction.max():.3f})")
-    return 0
 
 
-def cmd_oracle_compare(args) -> int:
-    out = _out_dir(args)
+def cmd_oracle_compare(args) -> None:
     spec = load_reservoir(args.reservoir)
     if spec.n_modes > ORACLE_MAX_MODES:
         estimate = args.dim ** spec.n_modes * args.source_dim
@@ -228,7 +222,7 @@ def cmd_oracle_compare(args) -> int:
     schedule = _schedule_from_args(args)
     state = _state_from_file(args.state) if args.state else None
     manifest = RunManifest(
-        command="oracle-compare", started=_utc_now(),
+        "oracle-compare", args.out_dir,
         config={"reservoir": spec.to_dict(),
                 "state": state.to_dict() if state else None,
                 "schedule": vars(schedule).copy(), "dim": args.dim,
@@ -257,10 +251,9 @@ def cmd_oracle_compare(args) -> int:
                       repr(float(master.occupation[k, j])),
                       repr(float(series.stderr[k, j]))]
         lines.append(",".join(cells))
-    path = out / f"{args.name}.csv"
+    path = manifest.output(f"{args.name}.csv")
     path.write_text("\n".join(lines) + "\n")
-    manifest.add_output(path)
-    manifest.save(out / f"{args.name}.manifest.yaml")
+    manifest.save(args.name)
     print(f"wrote {path}")
     print(f"max |ppm - oracle| = {diff.max():.3e}")
     if noisy.any():
@@ -268,13 +261,11 @@ def cmd_oracle_compare(args) -> int:
     else:
         print("max deviation / 3SE = n/a (ensemble is deterministic)")
     print(f"oracle trace error = {master.trace_error:.3e}")
-    return 0
 
 
-def cmd_wigner(args) -> int:
-    out = _out_dir(args)
+def cmd_wigner(args) -> None:
     state = _state_from_file(args.state)
-    manifest = RunManifest(command="wigner", started=_utc_now(),
+    manifest = RunManifest("wigner", args.out_dir,
                            config={"state": state.to_dict(), "dim": args.dim,
                                    "q": [args.q_min, args.q_max, args.points],
                                    "p": [args.p_min, args.p_max, args.points]},
@@ -282,13 +273,11 @@ def cmd_wigner(args) -> int:
     rho = build_state_fock(state, args.dim)
     grid = wigner_grid(rho, np.linspace(args.q_min, args.q_max, args.points),
                        np.linspace(args.p_min, args.p_max, args.points))
-    path = out / f"{args.name}.csv"
+    path = manifest.output(f"{args.name}.csv")
     grid.save(path)
-    manifest.add_output(path)
-    manifest.save(out / f"{args.name}.manifest.yaml")
+    manifest.save(args.name)
     print(f"wrote {path} (max W = {grid.values.max():.4f}, "
           f"min W = {grid.values.min():.4f})")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -310,138 +299,120 @@ def _pipeline_reservoir(cfg: dict, seed) -> ReservoirSpec:
                            seed=cfg.get("seed", seed))
 
 
-def _pipeline_schedule(cfg: dict) -> Schedule:
-    return Schedule(t_relax=float(cfg.get("t_relax", 15.0)),
-                    t_final=float(cfg.get("t_final", 10.0)),
-                    dt=float(cfg.get("dt", 0.05)),
-                    record_stride=int(cfg.get("record_stride", 4)))
+def _classify_runs(dataset, hyper: Hyperparams, run_seeds, prefix: str,
+                   manifest: RunManifest) -> list[float]:
+    """Train one readout per seed; write its model, curves and confusion."""
+    accuracies = []
+    for k, run_seed in enumerate(run_seeds):
+        model, curves = train_classifier(dataset, replace(hyper, seed=run_seed))
+        metrics = evaluate(model, dataset, "test")
+        tag = f"{prefix}run{k}"
+        model.save(manifest.output(f"model_{tag}.yaml"))
+        curves.save(manifest.output(f"curves_{tag}.csv"))
+        manifest.output(f"confusion_{tag}.csv").write_text(
+            metrics.confusion_csv(dataset.classes))
+        accuracies.append(metrics.accuracy)
+        print(f"{tag}: test accuracy {metrics.accuracy:.4f}")
+    return accuracies
 
 
-def _pipeline_hyper(cfg: dict, defaults: Hyperparams, seed: int) -> Hyperparams:
-    return Hyperparams(
-        learning_rate=float(cfg.get("learning_rate", defaults.learning_rate)),
-        epochs=int(cfg.get("epochs", defaults.epochs)),
-        batch_size=cfg.get("batch_size", defaults.batch_size),
-        seed=seed)
-
-
-def _classify_once(dataset, hyper_cfg, run_seed, out, tag, manifest):
-    hyper = _pipeline_hyper(hyper_cfg, CLASSIFY_HYPERPARAMS, run_seed)
-    model, curves = train_classifier(dataset, hyper)
+def _regress_run(dataset, hyper: Hyperparams, manifest: RunManifest) -> dict:
+    """Train the squeezing readout; write its model, curves and test errors."""
+    model, curves = train_regressor(dataset, hyper)
     metrics = evaluate(model, dataset, "test")
-    for name, obj in ((f"model_{tag}.yaml", model), (f"curves_{tag}.csv", curves)):
-        path = out / name
-        obj.save(path)
-        manifest.add_output(path)
-    conf_path = out / f"confusion_{tag}.csv"
-    conf_path.write_text(metrics.confusion_csv(dataset.classes))
-    manifest.add_output(conf_path)
-    return metrics.accuracy
+    model.save(manifest.output("model.yaml"))
+    curves.save(manifest.output("curves.csv"))
+    zeta = dataset.targets("test")
+    pred = model.predict_complex(dataset.features("test"))
+    lines = ["target_re,target_im,predicted_re,predicted_im,squared_error"]
+    for z, p, sq in zip(zeta, pred, metrics.squared_errors):
+        lines.append(f"{float(z.real)!r},{float(z.imag)!r},{float(p.real)!r},"
+                     f"{float(p.imag)!r},{float(sq)!r}")
+    manifest.output("squared_errors.csv").write_text("\n".join(lines) + "\n")
+    z_train = dataset.targets("train")
+    variance = float(np.mean(np.abs(z_train - z_train.mean()) ** 2))
+    print(f"test MSE {metrics.mse:.5f} vs train-target variance {variance:.5f}")
+    return {"test_mse": metrics.mse, "train_target_variance": variance,
+            "beats_mean_baseline": bool(metrics.mse < variance)}
 
 
-def cmd_pipeline(args) -> int:
-    out = _out_dir(args)
+def cmd_pipeline(args) -> None:
     cfg = _load_yaml(args.config)
     task = cfg.get("task")
     if task not in ("classify", "predict_squeezing", "classify_sweep"):
         raise ConfigError(f"pipeline task must be classify, predict_squeezing, "
                           f"or classify_sweep; got {task!r}")
+    regress = task == "predict_squeezing"
     base_seed = int(cfg.get("seed", args.seed if args.seed is not None else 0))
-    counts = cfg.get("counts", {})
+    counts = _block(cfg, "counts")
     train_count = int(counts.get("train", 60))
     test_count = int(counts.get("test", 15))
     trajectories = int(cfg.get("trajectories", 2000))
     runs = int(cfg.get("runs", 3))
-    schedule = _pipeline_schedule(cfg.get("schedule", {}))
-    hyper_cfg = cfg.get("hyperparams", {})
-    _pipeline_hyper(hyper_cfg, REGRESS_HYPERPARAMS, base_seed)   # refuse before simulating
-    manifest = RunManifest(command="pipeline", started=_utc_now(), config=cfg,
-                           seeds={"base": base_seed,
-                                  "runs": [base_seed + 1000 + k for k in range(runs)]})
+    if runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {runs}")
+    run_seeds = [base_seed + 1000 + k for k in range(runs)]
+    sched = _block(cfg, "schedule")
+    schedule = Schedule(t_relax=float(sched.get("t_relax", 15.0)),
+                        t_final=float(sched.get("t_final", 10.0)),
+                        dt=float(sched.get("dt", 0.05)),
+                        record_stride=int(sched.get("record_stride", 4)))
+    hyper_cfg = _block(cfg, "hyperparams")
+    defaults = REGRESS_HYPERPARAMS if regress else CLASSIFY_HYPERPARAMS
+    hyper = Hyperparams(
+        learning_rate=float(hyper_cfg.get("learning_rate", defaults.learning_rate)),
+        epochs=int(hyper_cfg.get("epochs", defaults.epochs)),
+        batch_size=hyper_cfg.get("batch_size", defaults.batch_size),
+        seed=run_seeds[0])
+    # (dataset file, run-tag prefix, dataset seed, reservoir) for each size
+    res_cfg = _block(cfg, "reservoir")
+    if task == "classify_sweep":
+        modes = cfg.get("sweep_modes", [2, 3, 4, 5, 6, 7])
+        if not (isinstance(modes, list) and modes and all(type(n) is int for n in modes)):
+            raise ConfigError(f"sweep_modes must be a non-empty list of integers, "
+                              f"got {modes!r}")
+        sizes = [(f"dataset_n{n}.csv", f"n{n}_", (base_seed, n),
+                  _pipeline_reservoir({"kerr": 0.05, **res_cfg, "modes": n}, base_seed))
+                 for n in modes]
+    else:
+        sizes = [("dataset.csv", "", base_seed, _pipeline_reservoir(res_cfg, base_seed))]
+    manifest = RunManifest("pipeline", args.out_dir, config=cfg,
+                           seeds={"base": base_seed, "runs": run_seeds})
+
+    summaries = []
+    for dataset_name, prefix, seed, spec in sizes:
+        dataset = generate_dataset(
+            "predict_squeezing" if regress else "classify", spec, schedule,
+            train_count=train_count, test_count=test_count,
+            trajectories=trajectories, seed=seed, workers=args.workers)
+        dataset.save(manifest.output(dataset_name))
+        summary = {"dataset_hash": dataset.content_hash(),
+                   "n_modes": spec.n_modes, "records": len(dataset.records),
+                   "flagged": sum(1 for r in dataset.records if r.flagged)}
+        if regress:
+            summary.update(_regress_run(dataset, hyper, manifest))
+        else:
+            accuracies = _classify_runs(dataset, hyper, run_seeds, prefix, manifest)
+            summary.update(accuracies=accuracies,
+                           mean_accuracy=float(np.mean(accuracies)))
+        summaries.append(summary)
 
     if task == "classify_sweep":
-        sweep = cfg.get("sweep_modes", [2, 3, 4, 5, 6, 7])
-        rows = ["n_modes,run,accuracy"]
-        means = ["n_modes,mean_accuracy"]
-        for n in sweep:
-            res_cfg = dict(cfg.get("reservoir", {}))
-            res_cfg["modes"] = int(n)
-            res_cfg.setdefault("kerr", 0.05)
-            spec = _pipeline_reservoir(res_cfg, base_seed)
-            dataset = generate_dataset(
-                "classify", spec, schedule, train_count=train_count,
-                test_count=test_count, trajectories=trajectories,
-                seed=(base_seed, int(n)), workers=args.workers)
-            accs = []
-            for k in range(runs):
-                acc = _classify_once(dataset, hyper_cfg, base_seed + 1000 + k,
-                                     out, f"n{n}_run{k}", manifest)
-                rows.append(f"{n},{k},{acc!r}")
-                accs.append(acc)
-            means.append(f"{n},{float(np.mean(accs))!r}")
-            print(f"N={n}: accuracies {[f'{a:.3f}' for a in accs]}")
-        path = out / "accuracy_vs_n.csv"
-        path.write_text("\n".join(rows) + "\n")
-        manifest.add_output(path)
-        mean_path = out / "accuracy_vs_n_mean.csv"
-        mean_path.write_text("\n".join(means) + "\n")
-        manifest.add_output(mean_path)
-        manifest.save(out / "pipeline.manifest.yaml")
-        print(f"wrote {path}")
-        return 0
-
-    spec = _pipeline_reservoir(cfg.get("reservoir", {}), base_seed)
-    dataset = generate_dataset(
-        "classify" if task == "classify" else "predict_squeezing", spec,
-        schedule, train_count=train_count, test_count=test_count,
-        trajectories=trajectories, seed=base_seed, workers=args.workers)
-    ds_path = out / "dataset.csv"
-    dataset.save(ds_path)
-    manifest.add_output(ds_path)
-    summary = {"task": task, "dataset_hash": dataset.content_hash(),
-               "n_modes": spec.n_modes, "records": len(dataset.records),
-               "flagged": sum(1 for r in dataset.records if r.flagged)}
-
-    if task == "classify":
-        accuracies = []
-        for k in range(runs):
-            acc = _classify_once(dataset, hyper_cfg, base_seed + 1000 + k,
-                                 out, f"run{k}", manifest)
-            accuracies.append(acc)
-            print(f"run {k}: test accuracy {acc:.4f}")
-        summary["accuracies"] = [float(a) for a in accuracies]
-        summary["mean_accuracy"] = float(np.mean(accuracies))
-        summary["baseline_uniform"] = BASELINE_UNIFORM_ACCURACY
-        summary["baseline_pair_confused"] = BASELINE_PAIR_CONFUSED_ACCURACY
+        metrics = {"task": task, "sizes": summaries}
+        rows = ["n_modes,run,accuracy"] + [
+            f"{s['n_modes']},{k},{a!r}"
+            for s in summaries for k, a in enumerate(s["accuracies"])]
+        means = ["n_modes,mean_accuracy"] + [
+            f"{s['n_modes']},{s['mean_accuracy']!r}" for s in summaries]
+        manifest.output("accuracy_vs_n.csv").write_text("\n".join(rows) + "\n")
+        manifest.output("accuracy_vs_n_mean.csv").write_text("\n".join(means) + "\n")
     else:
-        hyper = _pipeline_hyper(hyper_cfg, REGRESS_HYPERPARAMS, base_seed + 1000)
-        model, curves = train_regressor(dataset, hyper)
-        metrics = evaluate(model, dataset, "test")
-        for name, obj in (("model.yaml", model), ("curves.csv", curves)):
-            path = out / name
-            obj.save(path)
-            manifest.add_output(path)
-        zeta = dataset.targets("test")
-        pred = model.predict_complex(dataset.features("test"))
-        lines = ["target_re,target_im,predicted_re,predicted_im,squared_error"]
-        for z, p in zip(zeta, pred):
-            lines.append(f"{float(z.real)!r},{float(z.imag)!r},{float(p.real)!r},"
-                         f"{float(p.imag)!r},{float(abs(z - p) ** 2)!r}")
-        err_path = out / "squared_errors.csv"
-        err_path.write_text("\n".join(lines) + "\n")
-        manifest.add_output(err_path)
-        z_train = dataset.targets("train")
-        variance = float(np.mean(np.abs(z_train - z_train.mean()) ** 2))
-        summary["test_mse"] = metrics.mse
-        summary["train_target_variance"] = variance
-        summary["beats_mean_baseline"] = bool(metrics.mse < variance)
-        print(f"test MSE {metrics.mse:.5f} vs train-target variance {variance:.5f}")
-
-    with open(out / "metrics.yaml", "w") as fh:
-        yaml.safe_dump(summary, fh, sort_keys=True)
-    manifest.add_output(out / "metrics.yaml")
-    manifest.save(out / "pipeline.manifest.yaml")
-    return 0
+        metrics = {"task": task, **summaries[0]}
+    if not regress:
+        metrics.update(baseline_uniform=BASELINE_UNIFORM_ACCURACY,
+                       baseline_pair_confused=BASELINE_PAIR_CONFUSED_ACCURACY)
+    manifest.output("metrics.yaml").write_text(yaml.safe_dump(metrics, sort_keys=True))
+    manifest.save("pipeline")
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="root seed")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for state-level fan-out")
-    parser.add_argument("--out-dir", default=".", help="output directory")
+    parser.add_argument("--out-dir", type=Path, default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-reservoir", help="draw and save a reservoir spec")
@@ -519,15 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        args.func(args)
+    except (ConfigError, NumericsError) as exc:
+        code = 2 if isinstance(exc, ConfigError) else 3
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                          "exit_code": 2}), file=sys.stderr)
-        return 2
-    except NumericsError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                          "exit_code": 3}), file=sys.stderr)
-        return 3
+                          "exit_code": code}), file=sys.stderr)
+        return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,9 +10,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
 from pplattice.cli import main
+from pplattice.learn import load_dataset
 from pplattice.model import load_reservoir
 from pplattice.sampler import load_samples, mean_occupation
 
@@ -425,6 +427,85 @@ def test_pipeline_fractional_batch_size_exits_2(tmp_path, capsys):
     assert record["error"] == "ConfigError"
     assert "batch size" in record["message"]
     assert not (tmp_path / "dataset.csv").exists()
+
+
+def test_pipeline_classify_sweep_micro_run_pins_each_size(tmp_path, capsys):
+    config = write_yaml(tmp_path / "sweep.yaml", {
+        **MICRO_CLASSIFY, "task": "classify_sweep", "sweep_modes": [2, 3],
+        "runs": 2, "reservoir": {"kerr": 0.05, "seed": 7}})
+    outputs = []
+    for tag in ("a", "b"):
+        out_dir = tmp_path / tag
+        code, _, _ = run_cli(capsys, "--out-dir", str(out_dir),
+                             "pipeline", "--config", config)
+        assert code == 0
+        manifest = yaml.safe_load((out_dir / "pipeline.manifest.yaml").read_text())
+        for name, digest in manifest["outputs"].items():
+            assert digest == sha256_file(out_dir / name)
+        outputs.append(manifest["outputs"])
+    assert outputs[0] == outputs[1]
+
+    out_dir = tmp_path / "a"
+    assert {"dataset_n2.csv", "dataset_n3.csv", "metrics.yaml",
+            "model_n3_run1.yaml"} <= set(outputs[0])
+    header, data = read_csv_columns(out_dir / "accuracy_vs_n.csv")
+    assert header == ["n_modes", "run", "accuracy"]
+    assert [tuple(row) for row in data[:, :2]] == [(2, 0), (2, 1), (3, 0), (3, 1)]
+    metrics = yaml.safe_load((out_dir / "metrics.yaml").read_text())
+    assert metrics["task"] == "classify_sweep"
+    assert [s["n_modes"] for s in metrics["sizes"]] == [2, 3]
+    for size, accuracies in zip(metrics["sizes"], data[:, 2].reshape(2, 2)):
+        dataset = load_dataset(out_dir / f"dataset_n{size['n_modes']}.csv")
+        assert size["records"] == 9
+        assert size["flagged"] == sum(r.flagged for r in dataset.records)
+        assert size["dataset_hash"] == dataset.content_hash()
+        assert size["accuracies"] == list(accuracies)
+
+
+@pytest.mark.parametrize("block", ["counts", "schedule", "hyperparams", "reservoir"])
+def test_pipeline_non_mapping_block_exits_2(tmp_path, capsys, block):
+    config = write_yaml(tmp_path / "experiment.yaml", {**MICRO_CLASSIFY, block: [1, 2]})
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path),
+                           "pipeline", "--config", config)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert block in record["message"]
+    assert not (tmp_path / "dataset.csv").exists()
+
+
+def test_stability_scan_non_mapping_fixed_exits_2(tmp_path, capsys):
+    config = write_yaml(tmp_path / "scan.yaml", {
+        "f": {"start": 0.0, "stop": 2.0, "count": 3},
+        "kerr": {"start": 0.0, "stop": 0.5, "count": 2}, "fixed": 1.0})
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path),
+                           "stability-scan", "--config", config)
+    assert code == 2
+    assert "fixed" in json.loads(err)["message"]
+
+
+def test_pipeline_zero_runs_exits_2(tmp_path, capsys):
+    config = write_yaml(tmp_path / "experiment.yaml", {**MICRO_CLASSIFY, "runs": 0})
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path),
+                           "pipeline", "--config", config)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "runs" in record["message"]
+    assert not (tmp_path / "metrics.yaml").exists()
+
+
+@pytest.mark.parametrize("sweep_modes", [[], [2, "three"], [2, 2.5], 4])
+def test_pipeline_bad_sweep_modes_exits_2(tmp_path, capsys, sweep_modes):
+    config = write_yaml(tmp_path / "sweep.yaml", {
+        **MICRO_CLASSIFY, "task": "classify_sweep", "sweep_modes": sweep_modes})
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path),
+                           "pipeline", "--config", config)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "sweep_modes" in record["message"]
+    assert not (tmp_path / "accuracy_vs_n.csv").exists()
 
 
 # -- module entry point ------------------------------------------------------
