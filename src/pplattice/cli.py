@@ -13,6 +13,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import numbers
 import platform
 import sys
 from dataclasses import dataclass, field, replace
@@ -29,7 +30,8 @@ from .learn import (BASELINE_PAIR_CONFUSED_ACCURACY, BASELINE_UNIFORM_ACCURACY,
                     CLASSIFY_HYPERPARAMS, REGRESS_HYPERPARAMS, Hyperparams,
                     evaluate, generate_dataset, train_classifier,
                     train_regressor)
-from .model import ReservoirSpec, build_reservoir, load_reservoir, shape_for_modes
+from .model import ReservoirSpec, build_reservoir, load_reservoir, load_yaml, shape_for_modes
+from .observables import csv_text
 from .oracle import MAX_DIM, build_state_fock, evolve_master, vacuum_density, wigner_grid
 from .sampler import StateSpec, load_samples, sample_state, vacuum_samples
 
@@ -38,14 +40,6 @@ ORACLE_MAX_MODES = 2
 
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _versions() -> dict:
@@ -78,21 +72,9 @@ class RunManifest:
         body = {"command": self.command, "config": self.config,
                 "seeds": self.seeds, "versions": _versions(),
                 "started": self.started, "finished": _utc_now(),
-                "outputs": {n: _sha256(self.out_dir / n) for n in self.outputs}}
+                "outputs": {n: hashlib.sha256((self.out_dir / n).read_bytes()).hexdigest()
+                            for n in self.outputs}}
         (self.out_dir / f"{name}.manifest.yaml").write_text(yaml.safe_dump(body, sort_keys=True))
-
-
-def _load_yaml(path) -> dict:
-    try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must hold a mapping, got {type(data).__name__}")
-    return data
 
 
 def _block(cfg: dict, key: str) -> dict:
@@ -104,8 +86,25 @@ def _block(cfg: dict, key: str) -> dict:
     return block
 
 
+def _number(cfg: dict, key: str, default=None, integer: bool = False):
+    """Config value `key` ("block.name" inside a sub-mapping) as a float, or
+    as an int for an integer key; `default` when absent.  Booleans, text that
+    is not a number and, for integer keys, any non-integer are refused."""
+    *blocks, name = key.split(".")
+    for block in blocks:
+        cfg = _block(cfg, block)
+    value = cfg.get(name, default)
+    if isinstance(value, bool) or (integer and not isinstance(value, numbers.Integral)):
+        raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
+    try:
+        return int(value) if integer else float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
 def _state_from_file(path) -> StateSpec:
-    return StateSpec.from_dict(_load_yaml(path))
+    return StateSpec.from_dict(load_yaml(path))
 
 
 def _schedule_from_args(args) -> Schedule:
@@ -137,7 +136,7 @@ def cmd_gen_reservoir(args) -> None:
                            drive=args.drive, loss=args.loss,
                            source_loss=args.source_loss, seed=args.seed)
     spec_path = manifest.output(f"{args.name}.yaml")
-    spec.save(spec_path)
+    spec_path.write_text(spec.dumps())
     manifest.save(args.name)
     print(f"wrote {spec_path} ({spec.n_modes} modes, kerr={args.kerr})")
 
@@ -167,41 +166,33 @@ def cmd_simulate(args) -> None:
     series = run_ensemble(spec, samples, schedule, seed=args.seed,
                           threshold=args.threshold)
     path = manifest.output(f"{args.name}.csv")
-    series.save(path)
+    path.write_text(series.to_csv())
     manifest.save(args.name)
     print(f"wrote {path} (divergence fraction {series.divergence_fraction:.4f})")
 
 
 def cmd_stability_scan(args) -> None:
-    cfg = _load_yaml(args.config)
-    axes = {}
-    for name in ("f", "kerr", "loss"):
-        if name in cfg:
-            axis = cfg[name]
-            try:
-                axes[name] = np.linspace(float(axis["start"]), float(axis["stop"]),
-                                         int(axis["count"]))
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"axis {name!r} needs start/stop/count: {exc}") from None
+    cfg = load_yaml(args.config)
+    axes = {name: np.linspace(_number(cfg, f"{name}.start"), _number(cfg, f"{name}.stop"),
+                              _number(cfg, f"{name}.count", integer=True))
+            for name in ("f", "kerr", "loss") if name in cfg}
     if "f" not in axes or len(axes) != 2:
         raise ConfigError("scan config needs an 'f' axis plus exactly one of 'kerr'/'loss'")
-    fixed = _block(cfg, "fixed")
-    kwargs = dict(trajectories=int(cfg.get("trajectories", 500)),
-                  horizon=float(cfg.get("horizon", 25.0)),
-                  dt=float(cfg.get("dt", 0.05)),
-                  threshold=float(cfg.get("threshold", DEFAULT_THRESHOLD)),
+    kwargs = dict(trajectories=_number(cfg, "trajectories", 500, integer=True),
+                  horizon=_number(cfg, "horizon", 25.0), dt=_number(cfg, "dt", 0.05),
+                  threshold=_number(cfg, "threshold", DEFAULT_THRESHOLD),
                   seed=args.seed, workers=args.workers)
     if "kerr" in axes:
         kwargs["kerr_values"] = axes["kerr"]
-        kwargs["loss"] = float(fixed.get("loss", 1.0))
+        kwargs["loss"] = _number(cfg, "fixed.loss", 1.0)
     else:
         kwargs["loss_values"] = axes["loss"]
-        kwargs["kerr"] = float(fixed.get("kerr", 0.1))
+        kwargs["kerr"] = _number(cfg, "fixed.kerr", 0.1)
     manifest = RunManifest("stability-scan", args.out_dir, config=cfg,
                            seeds={"scan": args.seed})
     scan = stability_scan(axes["f"], **kwargs)
     path = manifest.output(f"{args.name}.csv")
-    scan.save(path)
+    path.write_text(scan.to_csv())
     manifest.save(args.name)
     print(f"wrote {path} (min fraction {scan.fraction.min():.3f}, "
           f"max {scan.fraction.max():.3f})")
@@ -242,17 +233,12 @@ def cmd_oracle_compare(args) -> None:
 
     diff = np.abs(series.mean - master.occupation)
     noisy = series.stderr > 0
-    lines = ["time," + ",".join(
-        f"ppm_n{j},oracle_n{j},stderr_n{j}" for j in range(spec.n_modes))]
-    for k, t in enumerate(series.times):
-        cells = [repr(float(t))]
-        for j in range(spec.n_modes):
-            cells += [repr(float(series.mean[k, j])),
-                      repr(float(master.occupation[k, j])),
-                      repr(float(series.stderr[k, j]))]
-        lines.append(",".join(cells))
+    header = ["time"] + [f"{col}_n{j}" for j in range(spec.n_modes)
+                         for col in ("ppm", "oracle", "stderr")]
+    cells = np.stack([series.mean, master.occupation, series.stderr], axis=-1)
     path = manifest.output(f"{args.name}.csv")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(csv_text(header, [[t, *row.ravel()]
+                                      for t, row in zip(series.times, cells)]))
     manifest.save(args.name)
     print(f"wrote {path}")
     print(f"max |ppm - oracle| = {diff.max():.3e}")
@@ -274,7 +260,7 @@ def cmd_wigner(args) -> None:
     grid = wigner_grid(rho, np.linspace(args.q_min, args.q_max, args.points),
                        np.linspace(args.p_min, args.p_max, args.points))
     path = manifest.output(f"{args.name}.csv")
-    grid.save(path)
+    path.write_text(grid.to_csv())
     manifest.save(args.name)
     print(f"wrote {path} (max W = {grid.values.max():.4f}, "
           f"min W = {grid.values.min():.4f})")
@@ -287,16 +273,14 @@ def cmd_wigner(args) -> None:
 def _pipeline_reservoir(cfg: dict, seed) -> ReservoirSpec:
     if "file" in cfg:
         return load_reservoir(cfg["file"])
-    try:
-        modes = int(cfg["modes"])
-        kerr = float(cfg["kerr"])
-    except KeyError as exc:
-        raise ConfigError(f"reservoir config needs {exc} (or a 'file' key)") from None
-    return build_reservoir(shape_for_modes(modes), kerr=kerr,
-                           drive=cfg.get("drive", 0.5),
-                           loss=cfg.get("loss", 1.0),
-                           source_loss=cfg.get("source_loss", 1.0),
-                           seed=cfg.get("seed", seed))
+    for key in ("modes", "kerr"):
+        if key not in cfg:
+            raise ConfigError(f"reservoir config needs {key!r} (or a 'file' key)")
+    return build_reservoir(shape_for_modes(_number(cfg, "modes", integer=True)),
+                           kerr=_number(cfg, "kerr"), drive=_number(cfg, "drive", 0.5),
+                           loss=_number(cfg, "loss", 1.0),
+                           source_loss=_number(cfg, "source_loss", 1.0),
+                           seed=_number(cfg, "seed", seed, integer=True))
 
 
 def _classify_runs(dataset, hyper: Hyperparams, run_seeds, prefix: str,
@@ -307,8 +291,8 @@ def _classify_runs(dataset, hyper: Hyperparams, run_seeds, prefix: str,
         model, curves = train_classifier(dataset, replace(hyper, seed=run_seed))
         metrics = evaluate(model, dataset, "test")
         tag = f"{prefix}run{k}"
-        model.save(manifest.output(f"model_{tag}.yaml"))
-        curves.save(manifest.output(f"curves_{tag}.csv"))
+        manifest.output(f"model_{tag}.yaml").write_text(model.dumps())
+        manifest.output(f"curves_{tag}.csv").write_text(curves.to_csv())
         manifest.output(f"confusion_{tag}.csv").write_text(
             metrics.confusion_csv(dataset.classes))
         accuracies.append(metrics.accuracy)
@@ -320,15 +304,13 @@ def _regress_run(dataset, hyper: Hyperparams, manifest: RunManifest) -> dict:
     """Train the squeezing readout; write its model, curves and test errors."""
     model, curves = train_regressor(dataset, hyper)
     metrics = evaluate(model, dataset, "test")
-    model.save(manifest.output("model.yaml"))
-    curves.save(manifest.output("curves.csv"))
+    manifest.output("model.yaml").write_text(model.dumps())
+    manifest.output("curves.csv").write_text(curves.to_csv())
     zeta = dataset.targets("test")
     pred = model.predict_complex(dataset.features("test"))
-    lines = ["target_re,target_im,predicted_re,predicted_im,squared_error"]
-    for z, p, sq in zip(zeta, pred, metrics.squared_errors):
-        lines.append(f"{float(z.real)!r},{float(z.imag)!r},{float(p.real)!r},"
-                     f"{float(p.imag)!r},{float(sq)!r}")
-    manifest.output("squared_errors.csv").write_text("\n".join(lines) + "\n")
+    manifest.output("squared_errors.csv").write_text(csv_text(
+        ["target_re", "target_im", "predicted_re", "predicted_im", "squared_error"],
+        zip(zeta.real, zeta.imag, pred.real, pred.imag, metrics.squared_errors)))
     z_train = dataset.targets("train")
     variance = float(np.mean(np.abs(z_train - z_train.mean()) ** 2))
     print(f"test MSE {metrics.mse:.5f} vs train-target variance {variance:.5f}")
@@ -337,36 +319,36 @@ def _regress_run(dataset, hyper: Hyperparams, manifest: RunManifest) -> dict:
 
 
 def cmd_pipeline(args) -> None:
-    cfg = _load_yaml(args.config)
+    cfg = load_yaml(args.config)
     task = cfg.get("task")
     if task not in ("classify", "predict_squeezing", "classify_sweep"):
         raise ConfigError(f"pipeline task must be classify, predict_squeezing, "
                           f"or classify_sweep; got {task!r}")
     regress = task == "predict_squeezing"
-    base_seed = int(cfg.get("seed", args.seed if args.seed is not None else 0))
-    counts = _block(cfg, "counts")
-    train_count = int(counts.get("train", 60))
-    test_count = int(counts.get("test", 15))
-    trajectories = int(cfg.get("trajectories", 2000))
-    runs = int(cfg.get("runs", 3))
+    base_seed = _number(cfg, "seed", 0 if args.seed is None else args.seed, integer=True)
+    train_count = _number(cfg, "counts.train", 60, integer=True)
+    test_count = _number(cfg, "counts.test", 15, integer=True)
+    trajectories = _number(cfg, "trajectories", 2000, integer=True)
+    runs = _number(cfg, "runs", 3, integer=True)
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     run_seeds = [base_seed + 1000 + k for k in range(runs)]
-    sched = _block(cfg, "schedule")
-    schedule = Schedule(t_relax=float(sched.get("t_relax", 15.0)),
-                        t_final=float(sched.get("t_final", 10.0)),
-                        dt=float(sched.get("dt", 0.05)),
-                        record_stride=int(sched.get("record_stride", 4)))
-    hyper_cfg = _block(cfg, "hyperparams")
+    schedule = Schedule(t_relax=_number(cfg, "schedule.t_relax", 15.0),
+                        t_final=_number(cfg, "schedule.t_final", 10.0),
+                        dt=_number(cfg, "schedule.dt", 0.05),
+                        record_stride=_number(cfg, "schedule.record_stride", 4, integer=True))
     defaults = REGRESS_HYPERPARAMS if regress else CLASSIFY_HYPERPARAMS
     hyper = Hyperparams(
-        learning_rate=float(hyper_cfg.get("learning_rate", defaults.learning_rate)),
-        epochs=int(hyper_cfg.get("epochs", defaults.epochs)),
-        batch_size=hyper_cfg.get("batch_size", defaults.batch_size),
+        learning_rate=_number(cfg, "hyperparams.learning_rate", defaults.learning_rate),
+        epochs=_number(cfg, "hyperparams.epochs", defaults.epochs, integer=True),
+        batch_size=_block(cfg, "hyperparams").get("batch_size", defaults.batch_size),
         seed=run_seeds[0])
     # (dataset file, run-tag prefix, dataset seed, reservoir) for each size
     res_cfg = _block(cfg, "reservoir")
     if task == "classify_sweep":
+        if "file" in res_cfg:
+            raise ConfigError("a classify_sweep draws one reservoir per size; "
+                              "reservoir.file is not allowed")
         modes = cfg.get("sweep_modes", [2, 3, 4, 5, 6, 7])
         if not (isinstance(modes, list) and modes and all(type(n) is int for n in modes)):
             raise ConfigError(f"sweep_modes must be a non-empty list of integers, "
@@ -385,7 +367,7 @@ def cmd_pipeline(args) -> None:
             "predict_squeezing" if regress else "classify", spec, schedule,
             train_count=train_count, test_count=test_count,
             trajectories=trajectories, seed=seed, workers=args.workers)
-        dataset.save(manifest.output(dataset_name))
+        manifest.output(dataset_name).write_text(dataset.to_csv())
         summary = {"dataset_hash": dataset.content_hash(),
                    "n_modes": spec.n_modes, "records": len(dataset.records),
                    "flagged": sum(1 for r in dataset.records if r.flagged)}
@@ -399,13 +381,11 @@ def cmd_pipeline(args) -> None:
 
     if task == "classify_sweep":
         metrics = {"task": task, "sizes": summaries}
-        rows = ["n_modes,run,accuracy"] + [
-            f"{s['n_modes']},{k},{a!r}"
-            for s in summaries for k, a in enumerate(s["accuracies"])]
-        means = ["n_modes,mean_accuracy"] + [
-            f"{s['n_modes']},{s['mean_accuracy']!r}" for s in summaries]
-        manifest.output("accuracy_vs_n.csv").write_text("\n".join(rows) + "\n")
-        manifest.output("accuracy_vs_n_mean.csv").write_text("\n".join(means) + "\n")
+        manifest.output("accuracy_vs_n.csv").write_text(csv_text(
+            ["n_modes", "run", "accuracy"],
+            [(s["n_modes"], k, a) for s in summaries for k, a in enumerate(s["accuracies"])]))
+        manifest.output("accuracy_vs_n_mean.csv").write_text(csv_text(
+            ["n_modes", "mean_accuracy"], [(s["n_modes"], s["mean_accuracy"]) for s in summaries]))
     else:
         metrics = {"task": task, **summaries[0]}
     if not regress:

@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .model import ReservoirSpec
-from .observables import OccupationSeries, occupation
+from .observables import OccupationSeries, csv_text, occupation
 from .sampler import PhaseSampleSet, vacuum_samples
 
 BLOCK_TRAJECTORIES = 512   # fixed reduction block; do not tune per machine
@@ -337,8 +337,12 @@ def _vacuum_start(trajectories: int, n_modes: int) -> RelaxedStart:
 
 def _block_runs(spec, schedule, initial: RelaxedStart, sources0, base: tuple,
                 threshold: float, start: int, stop: int):
-    """Integrate fixed 512-trajectory blocks in index order, yielding each run."""
+    """Integrate fixed 512-trajectory blocks in index order, yielding each run.
+
+    An empty ensemble is refused when the first run is asked for."""
     total = initial.alive.shape[0]
+    if total < 1:
+        raise ConfigError(f"trajectory count must be >= 1, got {total}")
     for lo in range(0, total, BLOCK_TRAJECTORIES):
         hi = min(lo + BLOCK_TRAJECTORIES, total)
         yield _BlockRun(
@@ -394,8 +398,6 @@ def relax_ensemble(spec: ReservoirSpec, schedule: Schedule, trajectories: int,
                    seed=None, threshold: float = DEFAULT_THRESHOLD) -> RelaxedStart:
     """Integrate the relaxation phase (f = 0) of `trajectories` vacuum-start
     reservoir trajectories, for any number of injections to resume from."""
-    if trajectories < 1:
-        raise ConfigError(f"trajectory count must be >= 1, got {trajectories}")
     vacuum = _vacuum_start(trajectories, spec.n_modes)
     runs = list(_block_runs(spec, schedule, vacuum, np.zeros((2, trajectories)),
                             _seed_base(seed), threshold, 0, schedule.n_relax))
@@ -455,15 +457,10 @@ class StabilityScan:
     fixed: dict
 
     def to_csv(self) -> str:
-        lines = [f"f,{self.other_name},convergent_fraction"]
-        for i, other in enumerate(self.other_values):
-            for j, f in enumerate(self.f_values):
-                lines.append(f"{float(f)!r},{float(other)!r},{float(self.fraction[i, j])!r}")
-        return "\n".join(lines) + "\n"
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
+        return csv_text(["f", self.other_name, "convergent_fraction"],
+                        [(f, other, self.fraction[i, j])
+                         for i, other in enumerate(self.other_values)
+                         for j, f in enumerate(self.f_values)])
 
 
 def stability_scan(f_values, *, kerr_values=None, loss_values=None,

@@ -26,8 +26,8 @@ import yaml
 from .dynamics import (DEFAULT_THRESHOLD, RelaxedStart, Schedule, relax_ensemble,
                        run_ensemble, _pool_starmap, _seed_base)
 from .errors import ConfigError, DivergenceError
-from .model import ReservoirSpec
-from .observables import FeatureRecord, feature_vector, steady_occupations
+from .model import ReservoirSpec, load_yaml
+from .observables import FeatureRecord, csv_text, feature_vector, steady_occupations
 from .sampler import StateSpec, sample_state
 
 CLASS_NAMES = ("cat", "squeezed_vacuum", "coherent")
@@ -177,14 +177,9 @@ class ReadoutModel:
     def dumps(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=True, default_flow_style=None)
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
-
 
 def load_model(path) -> ReadoutModel:
-    with open(path) as fh:
-        return ReadoutModel.from_dict(yaml.safe_load(fh))
+    return ReadoutModel.from_dict(load_yaml(path))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,27 +260,16 @@ class Dataset:
         cols = ["split", "label", "target_re", "target_im", "divergence_fraction",
                 "flagged", "kind", "beta_re", "beta_im", "nbar", "r", "theta",
                 "cat_phase"] + [f"f{j}" for j in range(n_feat)]
-        split_of = {}
-        for i in self.train_indices:
-            split_of[i] = "train"
-        for i in self.test_indices:
-            split_of[i] = "test"
-        lines = ["#task," + self.task + "," + ",".join(self.classes)]
-        lines.append(",".join(cols))
+        split_of = {**dict.fromkeys(self.train_indices, "train"),
+                    **dict.fromkeys(self.test_indices, "test")}
+        rows = [cols]
         for i, rec in enumerate(self.records):
             s = rec.state
             t = rec.target if rec.target is not None else complex("nan")
-            row = [split_of.get(i, "unused"), rec.label, repr(t.real), repr(t.imag),
-                   repr(rec.divergence_fraction), str(int(rec.flagged)), s.kind,
-                   repr(s.beta.real), repr(s.beta.imag), repr(s.nbar), repr(s.r),
-                   repr(s.theta), repr(s.cat_phase)]
-            row += [repr(float(v)) for v in rec.features]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
+            rows.append([split_of.get(i, "unused"), rec.label, t.real, t.imag,
+                         rec.divergence_fraction, rec.flagged, s.kind, s.beta.real,
+                         s.beta.imag, s.nbar, s.r, s.theta, s.cat_phase, *rec.features])
+        return csv_text(["#task", self.task, ",".join(self.classes)], rows)
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_csv().encode()).hexdigest()
@@ -343,16 +327,9 @@ class TrainingCurves:
 
     def to_csv(self) -> str:
         name = "acc" if self.kind == "classify" else "mse"
-        lines = [f"epoch,train_loss,test_loss,train_{name},test_{name}"]
-        for k in range(self.epoch.shape[0]):
-            lines.append(f"{int(self.epoch[k])},{float(self.train_loss[k])!r},"
-                         f"{float(self.test_loss[k])!r},{float(self.train_score[k])!r},"
-                         f"{float(self.test_score[k])!r}")
-        return "\n".join(lines) + "\n"
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
+        return csv_text(["epoch", "train_loss", "test_loss", f"train_{name}", f"test_{name}"],
+                        zip(self.epoch, self.train_loss, self.test_loss,
+                            self.train_score, self.test_score))
 
 
 class _Adam:
@@ -466,11 +443,8 @@ class Metrics:
     squared_errors: np.ndarray | None = None       # per-record |zeta - pred|^2
 
     def confusion_csv(self, classes: tuple[str, ...]) -> str:
-        lines = ["true\\predicted," + ",".join(classes)]
-        for j, name in enumerate(classes):
-            row = ",".join(repr(float(v)) for v in self.confusion[j])
-            lines.append(f"{name},{row}")
-        return "\n".join(lines) + "\n"
+        return csv_text(["true\\predicted", *classes],
+                        [[name, *self.confusion[j]] for j, name in enumerate(classes)])
 
 
 def evaluate(model: ReadoutModel, dataset: Dataset, split: str = "test") -> Metrics:

@@ -198,17 +198,24 @@ class ReservoirSpec:
     def dumps(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=True, default_flow_style=None)
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
+
+def load_yaml(path) -> dict:
+    """The mapping in YAML file `path`; ConfigError if the file is missing,
+    does not parse, or holds anything but a mapping."""
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"file not found: {path}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a mapping, got {type(data).__name__}")
+    return data
 
 
 def load_reservoir(path) -> ReservoirSpec:
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping at top level")
-    return ReservoirSpec.from_dict(data)
+    return ReservoirSpec.from_dict(load_yaml(path))
 
 
 def build_reservoir(shape: LatticeShape | int, *, kerr: float, drive: complex | np.ndarray = 0.5,

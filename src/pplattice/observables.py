@@ -2,8 +2,10 @@
 
 The central container is OccupationSeries: per-node mean occupation and its
 standard error on a recorded time grid, together with the fraction of
-trajectories that diverged (excluded from the averages).  Both the stochastic
-integrator and the exact oracle emit this type, so their outputs diff cleanly.
+trajectories that diverged (excluded from the averages).  The stochastic
+ensemble emits it; the exact oracle's MasterSeries holds occupations on the
+same time grid, so the two compare point by point.  csv_text writes every CSV
+artifact of the package.
 
 The reservoir-computing feature of node i is the phase-2 time integral of the
 occupation above its driven steady value,
@@ -15,6 +17,7 @@ with the steady value estimated over a late window of the relaxation phase.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +30,21 @@ from .sampler import StateSpec
 trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
 
+def csv_text(header, rows) -> str:
+    """CSV text, one newline-terminated line for the header and for each row.
+
+    A str cell is written as it is, an integer or bool as str(int(x)), and
+    every other cell as repr(float(x)), which reads back bit-exactly.
+    """
+    def cell(x):
+        if isinstance(x, str):
+            return x
+        if isinstance(x, (numbers.Integral, np.bool_)):
+            return str(int(x))
+        return repr(float(x))
+    return "".join(",".join(map(cell, row)) + "\n" for row in (header, *rows))
+
+
 def occupation(alpha, alpha_tilde):
     """Occupation estimator of a doubled-phase-space pair: Re(alpha * conj(alpha_tilde))."""
     return np.real(np.asarray(alpha) * np.conj(np.asarray(alpha_tilde)))
@@ -37,8 +55,8 @@ class OccupationSeries:
     """Mean occupation per node over recorded times.
 
     injection_time marks the start of the cascade phase (None when the run
-    had no schedule split); source_occupation is filled by the oracle when a
-    source mode is present (not part of the CSV schema).
+    had no schedule split); source_occupation is the ensemble's mean source
+    occupation (not part of the CSV schema).
     """
 
     times: np.ndarray                 # (T,)
@@ -69,24 +87,15 @@ class OccupationSeries:
 
     def to_csv(self) -> str:
         n = self.n_modes
-        header = "time," + ",".join(f"mean_{i},stderr_{i}" for i in range(n))
-        lines = [header]
-        for k in range(self.times.shape[0]):
-            row = [repr(float(self.times[k]))]
-            for i in range(n):
-                row.append(repr(float(self.mean[k, i])))
-                row.append(repr(float(self.stderr[k, i])))
-            lines.append(",".join(row))
-        pad = "," * (2 * n - 1)
-        lines.append(f"divergence_fraction,{self.divergence_fraction!r}{pad}")
-        lines.append(f"n_trajectories,{self.n_trajectories}{pad}")
-        inj = "" if self.injection_time is None else repr(float(self.injection_time))
-        lines.append(f"injection_time,{inj}{pad}")
-        return "\n".join(lines) + "\n"
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
+        header = ["time"] + [f"{q}_{i}" for i in range(n) for q in ("mean", "stderr")]
+        cells = np.stack([self.mean, self.stderr], axis=-1).reshape(len(self.times), -1)
+        rows = [[t, *row] for t, row in zip(self.times, cells)]
+        pad = [""] * (2 * n - 1)
+        inj = "" if self.injection_time is None else float(self.injection_time)
+        rows += [["divergence_fraction", self.divergence_fraction, *pad],
+                 ["n_trajectories", self.n_trajectories, *pad],
+                 ["injection_time", inj, *pad]]
+        return csv_text(header, rows)
 
 
 def series_from_csv(text: str, origin: str = "<csv>") -> OccupationSeries:

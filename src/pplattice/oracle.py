@@ -59,10 +59,13 @@ import numpy as np
 from .dynamics import Schedule
 from .errors import ConfigError, NumericsError, TruncationError
 from .model import ReservoirSpec
-from .observables import trapezoid
+from .observables import csv_text, trapezoid
 from .sampler import StateSpec
 
 TAIL_TOLERANCE = 1e-8       # allowed Fock mass beyond the truncation
+HERMITIAN_TOLERANCE = 1e-10  # validate(): largest |rho - rho^dagger| entry
+TRACE_TOLERANCE = 1e-8      # validate(): largest |tr rho - 1|
+EIGENVALUE_FLOOR = -1e-8    # validate(): lowest eigenvalue accepted
 TRACE_LIMIT = 1e-6          # trace drift that aborts a run
 MAX_DIM = 4000              # largest composite Hilbert dimension the solver accepts
 # theta_m: the largest h |A|_1 for which m Taylor terms of exp(h A) have a
@@ -106,16 +109,15 @@ class FockDensityMatrix:
     def trace(self) -> complex:
         return complex(np.trace(self.data))
 
-    def validate(self, herm_tol: float = 1e-10, trace_tol: float = 1e-8,
-                 eig_floor: float = -1e-8) -> "FockDensityMatrix":
+    def validate(self) -> "FockDensityMatrix":
         herm = np.max(np.abs(self.data - self.data.conj().T))
-        if herm > herm_tol:
+        if herm > HERMITIAN_TOLERANCE:
             raise NumericsError(f"density matrix not Hermitian: deviation {herm:.3e}")
         tr = self.trace()
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > TRACE_TOLERANCE:
             raise NumericsError(f"density matrix trace {tr} deviates from 1")
         lowest = float(np.linalg.eigvalsh(self.data).min())
-        if lowest < eig_floor:
+        if lowest < EIGENVALUE_FLOOR:
             raise NumericsError(f"density matrix has eigenvalue {lowest:.3e}")
         return self
 
@@ -176,8 +178,7 @@ def _pure_coefficients(state: StateSpec, count: int) -> np.ndarray:
     raise ConfigError(f"state kind {state.kind!r} has no pure Fock expansion")
 
 
-def build_state_fock(state: StateSpec, dim: int,
-                     tail_tol: float = TAIL_TOLERANCE) -> FockDensityMatrix:
+def build_state_fock(state: StateSpec, dim: int) -> FockDensityMatrix:
     """Input state as a truncated density matrix, renormalized after the
     tail-mass guard passes."""
     if dim < 2:
@@ -188,7 +189,7 @@ def build_state_fock(state: StateSpec, dim: int,
             return vacuum_density(dim)
         ratio = state.nbar / (1.0 + state.nbar)
         tail = ratio ** dim
-        if tail > tail_tol:
+        if tail > TAIL_TOLERANCE:
             raise TruncationError(
                 f"thermal nbar={state.nbar} keeps mass {tail:.3e} beyond d={dim}")
         weights = np.exp(n * math.log(ratio)) * (1.0 - ratio)
@@ -199,10 +200,10 @@ def build_state_fock(state: StateSpec, dim: int,
     mass = np.abs(coeff) ** 2
     total = mass.sum()
     tail = mass[dim:].sum() / total
-    if tail > tail_tol:
+    if tail > TAIL_TOLERANCE:
         raise TruncationError(
             f"{state.kind} state keeps mass {tail:.3e} beyond d={dim} "
-            f"(tolerance {tail_tol:g})")
+            f"(tolerance {TAIL_TOLERANCE:g})")
     kept = coeff[:dim] / math.sqrt(mass[:dim].sum())
     return FockDensityMatrix(data=np.outer(kept, kept.conj()), dims=(dim,))
 
@@ -452,15 +453,9 @@ class WignerGrid:
     values: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["q,p,wigner"]
-        for i, qv in enumerate(self.q):
-            for j, pv in enumerate(self.p):
-                lines.append(f"{float(qv)!r},{float(pv)!r},{float(self.values[i, j])!r}")
-        return "\n".join(lines) + "\n"
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
+        return csv_text(["q", "p", "wigner"],
+                        [(qv, pv, self.values[i, j])
+                         for i, qv in enumerate(self.q) for j, pv in enumerate(self.p)])
 
 
 def _displacement_column(n: np.ndarray, m: int, z: np.ndarray) -> np.ndarray:

@@ -135,7 +135,11 @@ class PhaseSampleSet:
 
 
 def load_samples(path) -> PhaseSampleSet:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise ConfigError(f"file not found: {path}") from None
+    with fh:
         magic = fh.readline().decode(errors="replace").rstrip("\n")
         if magic != SAMPLE_MAGIC:
             raise ConfigError(f"{path}: not a sample file (bad magic {magic!r})")
@@ -169,13 +173,11 @@ def sample_coherent(beta, count: int) -> PhaseSampleSet:
 def sample_thermal(nbar: float, count: int, seed=None) -> PhaseSampleSet:
     """Thermal state: alpha = alpha_tilde, complex Gaussian with <|alpha|^2> = nbar."""
     _check_count(count)
-    if nbar < 0:
-        raise ConfigError(f"thermal occupation must be >= 0, got {nbar}")
+    state = thermal_state(nbar)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     g = rng.standard_normal((2, count))
-    row = math.sqrt(nbar / 2.0) * (g[0] + 1j * g[1])
-    return PhaseSampleSet(alpha=row, alpha_tilde=row.copy(),
-                          state=thermal_state(nbar), seed=seed)
+    row = math.sqrt(state.nbar / 2.0) * (g[0] + 1j * g[1])
+    return PhaseSampleSet(alpha=row, alpha_tilde=row.copy(), state=state, seed=seed)
 
 
 def sample_squeezed_vacuum(r: float, theta: float, count: int, seed=None) -> PhaseSampleSet:
@@ -189,8 +191,7 @@ def sample_squeezed_vacuum(r: float, theta: float, count: int, seed=None) -> Pha
     <alpha alpha_tilde> = <alpha^2> = -e^{2 i theta} sinh(r) cosh(r).
     """
     _check_count(count)
-    if r < 0:
-        raise ConfigError(f"squeezing magnitude must be >= 0, got {r}")
+    state = squeezed_state(r, theta)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     q = rng.standard_normal((4, count))
     delta = (q[0] + 1j * q[1]) / math.sqrt(2.0)
@@ -198,7 +199,7 @@ def sample_squeezed_vacuum(r: float, theta: float, count: int, seed=None) -> Pha
           + 1j * math.sqrt(math.exp(r) * math.cosh(r) / 2.0) * q[3])
     rot = np.exp(1j * theta)
     return PhaseSampleSet(alpha=rot * nu + delta, alpha_tilde=rot * nu - delta,
-                          state=squeezed_state(r, theta), seed=seed)
+                          state=state, seed=seed)
 
 
 def _cat_weight(beta, cat_phase: float) -> float:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, manifests, and output reproducibility."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 import yaml
 
-from pplattice.cli import main
+from pplattice.cli import build_parser, main
 from pplattice.learn import load_dataset
 from pplattice.model import load_reservoir
-from pplattice.sampler import load_samples, mean_occupation
+from pplattice.sampler import PhaseSampleSet, load_samples, mean_occupation
 
 
 def run_cli(capsys, *argv):
@@ -219,6 +220,37 @@ def test_simulate_non_finite_duration_exits_2(tmp_path, capsys):
     record = json.loads(err)
     assert record["error"] == "ConfigError"
     assert "t_relax" in record["message"]
+
+
+@pytest.mark.parametrize("content", [None, "rows: [1, 2\n", "- 1\n- 2\n"],
+                         ids=["missing", "unparsable", "not_a_mapping"])
+def test_simulate_bad_reservoir_file_exits_2(tmp_path, capsys, content):
+    _, samples = simulate_setup(tmp_path, capsys)
+    reservoir = tmp_path / "bad.yaml"
+    if content is not None:
+        reservoir.write_text(content)
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "x"), "simulate",
+                           "--reservoir", str(reservoir), "--samples", samples)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "bad.yaml" in record["message"]
+
+
+def test_simulate_missing_or_empty_samples_exits_2(tmp_path, capsys):
+    reservoir, _ = simulate_setup(tmp_path, capsys)
+    empty = tmp_path / "empty.samples"
+    PhaseSampleSet(alpha=np.zeros(0, complex), alpha_tilde=np.zeros(0, complex)).save(empty)
+    for samples, message in ((tmp_path / "nope.samples", "not found"),
+                             (empty, "trajectory count")):
+        code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "x"), "simulate",
+                               "--reservoir", reservoir, "--samples", str(samples),
+                               "--t-relax", "1.0", "--t-final", "1.0")
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert message in record["message"]
+    assert not (tmp_path / "x" / "occupations.csv").exists()
 
 
 # -- stability-scan ----------------------------------------------------------
@@ -506,6 +538,85 @@ def test_pipeline_bad_sweep_modes_exits_2(tmp_path, capsys, sweep_modes):
     assert record["error"] == "ConfigError"
     assert "sweep_modes" in record["message"]
     assert not (tmp_path / "accuracy_vs_n.csv").exists()
+
+
+SCAN = {"f": {"start": 0.0, "stop": 2.0, "count": 3},
+        "kerr": {"start": 0.0, "stop": 0.5, "count": 2},
+        "trajectories": 16, "horizon": 3.0, "dt": 0.05}
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("pipeline", {**MICRO_CLASSIFY, "runs": "three"}, "runs"),
+    ("pipeline", {**MICRO_CLASSIFY, "runs": True}, "runs"),
+    ("pipeline", {**MICRO_CLASSIFY, "trajectories": 2.5}, "trajectories"),
+    ("pipeline", {**MICRO_CLASSIFY, "counts": {"train": "two", "test": 1}}, "counts.train"),
+    ("pipeline", {**MICRO_CLASSIFY, "schedule": {"dt": "fast"}}, "schedule.dt"),
+    ("pipeline", {**MICRO_CLASSIFY, "hyperparams": {"epochs": 40.0}}, "hyperparams.epochs"),
+    ("pipeline", {**MICRO_CLASSIFY, "reservoir": {"modes": 2, "kerr": "weak"}}, "kerr"),
+    ("stability-scan", {**SCAN, "f": {"start": 0.0, "stop": 2.0, "count": "two"}}, "f.count"),
+    ("stability-scan", {**SCAN, "trajectories": 2.5}, "trajectories"),
+    ("stability-scan", {**SCAN, "fixed": {"loss": "one"}}, "fixed.loss"),
+])
+def test_bad_config_number_exits_2(tmp_path, capsys, command, config, key):
+    path = write_yaml(tmp_path / "config.yaml", config)
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"),
+                           command, "--config", path)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert key in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_sweep_refuses_a_reservoir_file(tmp_path, capsys):
+    run_cli(capsys, "--out-dir", str(tmp_path), "--seed", "3",
+            "gen-reservoir", "--modes", "2", "--kerr", "0.05")
+    config = write_yaml(tmp_path / "sweep.yaml", {
+        **MICRO_CLASSIFY, "task": "classify_sweep", "sweep_modes": [2, 3],
+        "reservoir": {"file": str(tmp_path / "reservoir.yaml")}})
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"),
+                           "pipeline", "--config", config)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "reservoir.file" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_subcommand_manifest_pins_every_output(tmp_path, capsys):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    cat = write_yaml(inputs / "cat.yaml", {"kind": "cat", "beta": [1.0, 0.0]})
+    runs = {
+        "gen-reservoir": ["gen-reservoir", "--modes", "1", "--kerr", "0.1"],
+        "sample-state": ["sample-state", "--state", cat, "--count", "20"],
+        "simulate": ["simulate", "--reservoir", str(tmp_path / "gen-reservoir" / "reservoir.yaml"),
+                     "--samples", str(tmp_path / "sample-state" / "state.samples"),
+                     "--t-relax", "1.0", "--t-final", "1.0"],
+        "stability-scan": ["stability-scan", "--config", write_yaml(inputs / "scan.yaml", SCAN)],
+        "oracle-compare": ["oracle-compare",
+                           "--reservoir", str(tmp_path / "gen-reservoir" / "reservoir.yaml"),
+                           "--state", cat, "--dim", "8", "--source-dim", "12",
+                           "--trajectories", "20", "--t-relax", "0.5", "--t-final", "0.5",
+                           "--stride", "10"],
+        "wigner": ["wigner", "--state", cat, "--dim", "20", "--points", "21"],
+        "pipeline": ["pipeline", "--config",
+                     write_yaml(inputs / "experiment.yaml", MICRO_CLASSIFY)],
+    }
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert set(runs) == set(commands.choices)
+    for command, argv in runs.items():
+        out_dir = tmp_path / command
+        code, _, err = run_cli(capsys, "--out-dir", str(out_dir), "--seed", "5", *argv)
+        assert code == 0, err
+        manifests = sorted(out_dir.glob("*.manifest.yaml"))
+        assert len(manifests) == 1
+        outputs = yaml.safe_load(manifests[0].read_text())["outputs"]
+        on_disk = {p.name for p in out_dir.iterdir()} - {manifests[0].name}
+        assert set(outputs) == on_disk
+        for name, digest in outputs.items():
+            assert digest == sha256_file(out_dir / name)
 
 
 # -- module entry point ------------------------------------------------------

@@ -15,8 +15,8 @@ from pplattice.dynamics import (PhaseSamplePair, RelaxedStart, Schedule, _BlockR
                                 stability_scan)
 from pplattice.errors import ConfigError, DivergenceError
 from pplattice.model import build_reservoir, shape_for_modes
-from pplattice.sampler import (cat_state, sample_coherent, sample_state, sample_thermal,
-                               vacuum_samples)
+from pplattice.sampler import (PhaseSampleSet, cat_state, sample_coherent, sample_state,
+                               sample_thermal, vacuum_samples)
 
 # the desk presets' reservoir and schedule at N = 4
 DESK_SCHEDULE = Schedule(t_relax=15.0, t_final=10.0, dt=0.05, record_stride=4)
@@ -404,6 +404,17 @@ def test_all_divergent_ensemble_raises():
     schedule = Schedule(t_relax=2.0, t_final=0.0, dt=0.05, record_stride=8)
     with pytest.raises(DivergenceError):
         run_ensemble(spec, vacuum_samples(10), schedule, seed=0, threshold=1e-6)
+
+
+def test_empty_ensemble_is_a_configuration_error():
+    # no trajectory at all is a bad input, not an ensemble that diverged
+    spec = build_single_mode(drive=1.0, kerr=0.0, loss=1.0)
+    schedule = Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=4)
+    empty = PhaseSampleSet(alpha=np.zeros(0, complex), alpha_tilde=np.zeros(0, complex))
+    with pytest.raises(ConfigError, match="trajectory count"):
+        run_ensemble(spec, empty, schedule, seed=0)
+    with pytest.raises(ConfigError, match="trajectory count"):
+        relax_ensemble(spec, schedule, 0, seed=0)
 
 
 def test_divergent_trajectories_are_excluded_from_means():

@@ -260,7 +260,7 @@ def test_model_yaml_round_trip(tmp_path):
     dataset = toy_dataset()
     model, _ = train_classifier(dataset, Hyperparams(learning_rate=0.02, epochs=40, seed=5))
     path = tmp_path / "model.yaml"
-    model.save(path)
+    path.write_text(model.dumps())
     again = load_model(path)
     assert again.kind == "classify"
     assert np.array_equal(again.weights, model.weights)
@@ -342,7 +342,7 @@ def test_dataset_csv_round_trip(tmp_path, small_classify_dataset):
     again = dataset_from_csv(text)
     assert again.content_hash() == dataset.content_hash()
     path = tmp_path / "dataset.csv"
-    dataset.save(path)
+    path.write_text(dataset.to_csv())
     assert load_dataset(path).content_hash() == dataset.content_hash()
 
 

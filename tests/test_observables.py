@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from pplattice.dynamics import Schedule, build_single_mode, run_ensemble
+from pplattice.dynamics import Schedule, StabilityScan, build_single_mode, run_ensemble
 from pplattice.errors import ConfigError
+from pplattice.learn import CLASS_NAMES, Dataset, Metrics, TrainingCurves
 from pplattice.model import build_reservoir, shape_for_modes
-from pplattice.observables import (FeatureRecord, OccupationSeries, feature_vector,
-                                   occupation, series_from_csv, steady_occupations,
-                                   trapezoid)
-from pplattice.sampler import coherent_state, vacuum_samples
+from pplattice.observables import (FeatureRecord, OccupationSeries, csv_text,
+                                   feature_vector, occupation, series_from_csv,
+                                   steady_occupations, trapezoid)
+from pplattice.oracle import WignerGrid
+from pplattice.sampler import cat_state, coherent_state, squeezed_state, vacuum_samples
+
+SUBNORMAL = 5e-324
 
 
 def synthetic_series(times, mean, injection_time=None, stderr=None):
@@ -159,3 +163,96 @@ def test_feature_record_validation():
     with pytest.raises(ConfigError):
         FeatureRecord(features=np.zeros((2, 2)), label="cat",
                       state=coherent_state(1.0))
+
+
+# -- CSV writers: exact text from literal values ---------------------------------
+
+def test_csv_text_cell_rules():
+    text = csv_text(["a", "b", "c", "d"],
+                    [[np.int64(3), True, np.float64(-0.0), "x"],
+                     [np.bool_(False), SUBNORMAL, float("nan"), ""],
+                     (7, 0.1, -math.inf, "y")])
+    assert text == "a,b,c,d\n3,1,-0.0,x\n0,5e-324,nan,\n7,0.1,-inf,y\n"
+    assert float(repr(float(SUBNORMAL))) == SUBNORMAL
+    assert csv_text(["only"], []) == "only\n"
+
+
+def test_occupation_series_csv_text():
+    series = OccupationSeries(
+        times=np.array([0.0, 0.5]), mean=np.array([[1.0, -0.0], [2.5, SUBNORMAL]]),
+        stderr=np.array([[0.0, 0.0], [0.1, np.nan]]), divergence_fraction=0.25,
+        n_trajectories=8, injection_time=0.5)
+    assert series.to_csv() == (
+        "time,mean_0,stderr_0,mean_1,stderr_1\n"
+        "0.0,1.0,0.0,-0.0,0.0\n"
+        "0.5,2.5,0.1,5e-324,nan\n"
+        "divergence_fraction,0.25,,,\n"
+        "n_trajectories,8,,,\n"
+        "injection_time,0.5,,,\n")
+    unsplit = OccupationSeries(times=np.array([0.0]), mean=np.array([[1.0]]),
+                               stderr=np.array([[0.0]]), divergence_fraction=0.0,
+                               n_trajectories=1)
+    assert unsplit.to_csv() == ("time,mean_0,stderr_0\n0.0,1.0,0.0\n"
+                                "divergence_fraction,0.0,\nn_trajectories,1,\n"
+                                "injection_time,,\n")
+
+
+def test_stability_scan_csv_text():
+    scan = StabilityScan(f_values=np.array([0.0, 2.5]), other_name="kerr",
+                         other_values=np.array([0.0, 0.5]),
+                         fraction=np.array([[1.0, 1.0], [0.96875, SUBNORMAL]]),
+                         trajectories=32, horizon=3.0, dt=0.05, fixed={"loss": 1.0})
+    assert scan.to_csv() == ("f,kerr,convergent_fraction\n0.0,0.0,1.0\n2.5,0.0,1.0\n"
+                             "0.0,0.5,0.96875\n2.5,0.5,5e-324\n")
+
+
+def test_dataset_csv_text():
+    records = (
+        FeatureRecord(features=np.array([1.5, -0.0]), label="cat",
+                      state=cat_state(1.25, math.pi)),
+        FeatureRecord(features=np.array([SUBNORMAL, 2.0]), label="coherent",
+                      state=coherent_state(0.5 - 0.25j), divergence_fraction=0.125,
+                      flagged=True),
+    )
+    dataset = Dataset(task="classify", records=records, train_indices=(1,),
+                      test_indices=(0,), classes=CLASS_NAMES)
+    assert dataset.to_csv() == (
+        "#task,classify,cat,squeezed_vacuum,coherent\n"
+        "split,label,target_re,target_im,divergence_fraction,flagged,kind,beta_re,"
+        "beta_im,nbar,r,theta,cat_phase,f0,f1\n"
+        "test,cat,nan,0.0,0.0,0,cat,1.25,0.0,0.0,0.0,0.0,3.141592653589793,1.5,-0.0\n"
+        "train,coherent,nan,0.0,0.125,1,coherent,0.5,-0.25,0.0,0.0,0.0,0.0,5e-324,2.0\n")
+    regression = Dataset(task="predict_squeezing", records=(FeatureRecord(
+        features=np.array([0.75]), label="squeezed_vacuum",
+        state=squeezed_state(1.0, 0.25), target=complex(0.5, -0.0)),), train_indices=(0,),
+        test_indices=())
+    assert regression.to_csv().splitlines()[0::2] == [
+        "#task,predict_squeezing,",
+        "train,squeezed_vacuum,0.5,-0.0,0.0,0,squeezed_vacuum,0.0,0.0,0.0,1.0,0.25,0.0,0.75"]
+
+
+def test_training_curves_csv_text():
+    curves = TrainingCurves(kind="classify", epoch=np.arange(2),
+                            train_loss=np.array([1.0986, 0.5]),
+                            test_loss=np.array([np.nan, -0.0]),
+                            train_score=np.array([0.5, 1.0]),
+                            test_score=np.array([1.0, SUBNORMAL]))
+    assert curves.to_csv() == ("epoch,train_loss,test_loss,train_acc,test_acc\n"
+                               "0,1.0986,nan,0.5,1.0\n1,0.5,-0.0,1.0,5e-324\n")
+    regress = TrainingCurves(kind="regress", epoch=np.arange(1), train_loss=np.zeros(1),
+                             test_loss=np.zeros(1), train_score=np.zeros(1),
+                             test_score=np.zeros(1))
+    assert regress.to_csv().splitlines()[0] == "epoch,train_loss,test_loss,train_mse,test_mse"
+
+
+def test_confusion_csv_text():
+    metrics = Metrics(kind="classify", accuracy=0.75,
+                      confusion=np.array([[1.0, -0.0], [0.25, 0.75]]))
+    assert metrics.confusion_csv(("cat", "coherent")) == (
+        "true\\predicted,cat,coherent\ncat,1.0,-0.0\ncoherent,0.25,0.75\n")
+
+
+def test_wigner_grid_csv_text():
+    grid = WignerGrid(q=np.array([-1.0, 1.0]), p=np.array([0.0]),
+                      values=np.array([[0.1], [-SUBNORMAL]]))
+    assert grid.to_csv() == "q,p,wigner\n-1.0,0.0,0.1\n1.0,0.0,-5e-324\n"

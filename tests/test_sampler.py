@@ -236,6 +236,18 @@ def test_sample_file_round_trip(tmp_path):
     assert again.seed == 31
 
 
+def test_missing_sample_file_is_a_configuration_error(tmp_path):
+    with pytest.raises(ConfigError, match="not found"):
+        load_samples(tmp_path / "nope.samples")
+
+
+def test_samplers_refuse_what_their_state_spec_refuses():
+    with pytest.raises(ConfigError, match="thermal occupation"):
+        sample_thermal(-1.0, 10, seed=0)
+    with pytest.raises(ConfigError, match="squeezing magnitude"):
+        sample_squeezed_vacuum(-0.5, 0.0, 10, seed=0)
+
+
 def test_state_spec_validation():
     with pytest.raises(ConfigError):
         StateSpec(kind="squeezed_vacuum", r=-0.5)
