@@ -238,6 +238,7 @@ class _BlockRun:
         _, s, n = self.pair.shape
         tau = sched.dt
         scale = 1.0 / math.sqrt(tau)
+        n_relax = sched.n_relax
         # slab (step, 2, S, N): trajectory i's draws fill column i, in the
         # order of a (length, 2N) draw whose first N columns drive alpha
         noise_buf = np.empty((NOISE_SLAB_STEPS, 2, s, n))
@@ -250,7 +251,7 @@ class _BlockRun:
                     length = min(NOISE_SLAB_STEPS, self.stop - k)
                     for i, gen in enumerate(self.generators):
                         noise_buf[:length, :, i] = gen.standard_normal((length, 2, n))
-                coeffs = self.coeffs[0] if k < sched.n_relax else self.coeffs[1]
+                coeffs = self.coeffs[0] if k < n_relax else self.coeffs[1]
                 noise = noise_buf[slab_pos] * (scale * coeffs.noise_coeff)
                 self.pair, self.sources = _step_arrays(coeffs, tau, self.pair,
                                                        self.sources, noise)

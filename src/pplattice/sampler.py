@@ -72,10 +72,14 @@ class StateSpec:
     def from_dict(cls, data: dict) -> "StateSpec":
         d = dict(data)
         beta = d.get("beta", 0j)
-        if isinstance(beta, (list, tuple)):
-            d["beta"] = complex(beta[0], beta[1])
-        else:
-            d["beta"] = complex(beta)
+        try:
+            if isinstance(beta, (list, tuple)):
+                real, imag = beta              # ValueError unless two entries
+                d["beta"] = complex(real, imag)
+            else:
+                d["beta"] = complex(beta)
+        except (TypeError, ValueError):
+            raise ConfigError(f"beta must be a number or [re, im], got {beta!r}") from None
         try:
             return cls(**d)
         except TypeError as exc:
@@ -143,9 +147,16 @@ def load_samples(path) -> PhaseSampleSet:
         magic = fh.readline().decode(errors="replace").rstrip("\n")
         if magic != SAMPLE_MAGIC:
             raise ConfigError(f"{path}: not a sample file (bad magic {magic!r})")
-        header = json.loads(fh.readline().decode())
+        try:
+            header = json.loads(fh.readline().decode())
+        except ValueError:
+            raise ConfigError(f"{path}: sample header is not JSON") from None
         raw = np.frombuffer(fh.read(), dtype="<f8")
-    count = int(header["count"])
+    if not isinstance(header, dict):
+        raise ConfigError(f"{path}: sample header is not a JSON object")
+    count = header.get("count")
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ConfigError(f"{path}: sample header needs an integer count, got {count!r}")
     if raw.size != 4 * count:
         raise ConfigError(f"{path}: expected {4 * count} values, found {raw.size}")
     cols = raw.reshape(count, 4)

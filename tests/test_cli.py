@@ -140,6 +140,19 @@ def test_sample_state_unknown_kind_exits_2(tmp_path, capsys):
     assert json.loads(err)["exit_code"] == 2
 
 
+@pytest.mark.parametrize("beta", [[1], [1.0, 0.0, 0.0], ["1", "0"], "one"],
+                         ids=["one_entry", "three_entries", "text_entries", "text"])
+def test_sample_state_malformed_beta_exits_2(tmp_path, capsys, beta):
+    state = write_yaml(tmp_path / "state.yaml", {"kind": "coherent", "beta": beta})
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path),
+                           "sample-state", "--state", state, "--count", "10")
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "beta" in record["message"]
+    assert not (tmp_path / "state.samples").exists()
+
+
 def test_sample_state_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--out-dir", str(tmp_path), "sample-state",
                            "--state", str(tmp_path / "nope.yaml"), "--count", "5")

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy import sparse
 
 from conftest import max_se_ratio
 from pplattice.dynamics import (PhaseSamplePair, Schedule, build_single_mode,
@@ -139,34 +138,51 @@ def test_hermitian_application_matches_superoperator_and_is_hermitian():
     k_op, jumps = _generators(spec, (3, 3), 4, f=1)
     op = _LindbladOperator(k_op, jumps)
     lsup = _superoperator(k_op, jumps)
-    assert op.mu * op.d ** 2 == pytest.approx(np.trace(lsup).real, rel=1e-13)
-    assert abs(np.trace(lsup).imag) < 1e-12
     rng = np.random.default_rng(7)
     x = rng.normal(size=(op.d, op.d)) + 1j * rng.normal(size=(op.d, op.d))
     rho = x + x.conj().T
-    out = op.hermitian(rho)
-    expected = ((lsup - op.mu * np.eye(op.d ** 2)) @ rho.reshape(-1)).reshape(rho.shape)
+    out = op.hermitian(rho, np.empty_like(rho))
+    expected = (lsup @ rho.reshape(-1)).reshape(rho.shape)
     assert op.d == 36
     assert np.max(np.abs(out - expected)) < 1e-13 * np.max(np.abs(expected))
     assert np.array_equal(out, out.conj().T)
 
 
-def test_one_norm_bound_is_the_shifted_generator_norm():
-    # the triangle-inequality bound never undershoots the exact 1-norm of
-    # L - mu I (up to summation-order roundoff), and on these generators it
-    # is tight
+def test_one_norm_bound_is_the_generator_norm():
+    # the triangle-inequality bound never undershoots the exact 1-norm of L
+    # (up to summation-order roundoff), and on these generators it is tight
     spec = build_reservoir(shape_for_modes(2), kerr=0.05, seed=42)
     kerr = build_single_mode(drive=1.0, kerr=0.1, loss=1.0)
     for k_op, jumps in (_generators(spec, (3, 3), None, f=0),
                         _generators(spec, (3, 3), 4, f=1),
                         _generators(kerr, (16,), None, f=0)):
         op = _LindbladOperator(k_op, jumps)
-        shifted = k_op - 0.5 * op.mu * sparse.identity(op.d)
-        bound = _one_norm_bound(shifted, jumps)
-        exact = np.abs(_superoperator(k_op, jumps) - op.mu * np.eye(op.d ** 2)).sum(axis=0).max()
+        bound = _one_norm_bound(k_op, jumps)
+        exact = np.abs(_superoperator(k_op, jumps)).sum(axis=0).max()
         assert bound >= exact * (1.0 - 1e-14)
         assert bound == pytest.approx(exact, rel=1e-12)
         assert op.norm == bound
+
+
+def test_steady_state_interval_stops_its_series_early(monkeypatch):
+    # the steady state is L's null vector, so every Taylor term from it is
+    # tiny and each series stops sooner than from vacuum; a shifted generator
+    # would move that eigenvalue away from 0 and lose this
+    spec = build_single_mode(drive=1.0, kerr=0.1, loss=1.0)
+    _, _, vh = np.linalg.svd(_superoperator(*_generators(spec, (16,), None, f=0)))
+    null = vh[-1].conj().reshape(16, 16)
+    steady = null / np.trace(null)
+    steady = 0.5 * (steady + steady.conj().T)
+    calls = []
+    apply = _LindbladOperator.hermitian
+    monkeypatch.setattr(_LindbladOperator, "hermitian",
+                        lambda self, rho, out: calls.append(1) or apply(self, rho, out))
+    schedule = Schedule(t_relax=1.0, t_final=0.0, dt=0.05, record_stride=20)
+    series = evolve_master(FockDensityMatrix(data=steady, dims=(16,)), spec, None, schedule)
+    from_steady = len(calls)
+    assert np.max(np.abs(series.final_state.data - steady)) < 1e-13
+    evolve_master(vacuum_density(16), spec, None, schedule)
+    assert from_steady < len(calls) - from_steady
 
 
 # -- master-equation evolution ---------------------------------------------------------

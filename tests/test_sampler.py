@@ -8,7 +8,7 @@ import pytest
 from conftest import plain_se
 from pplattice.errors import ConfigError
 from pplattice.oracle import build_state_fock, destroy, expect_occupation
-from pplattice.sampler import (StateSpec, _cat_round, canonical_density_from_fock,
+from pplattice.sampler import (SAMPLE_MAGIC, StateSpec, _cat_round, canonical_density_from_fock,
                                cat_canonical_density, cat_state, coherent_state,
                                estimate_moment, load_samples, mean_occupation,
                                sample_cat, sample_coherent, sample_squeezed_vacuum,
@@ -239,6 +239,21 @@ def test_sample_file_round_trip(tmp_path):
 def test_missing_sample_file_is_a_configuration_error(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_samples(tmp_path / "nope.samples")
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"{count: 2", "not JSON"),
+    (b"[2]", "not a JSON object"),
+    (b'{"seed": 1}', "integer count"),
+    (b'{"count": 2.5}', "integer count"),
+    (b'{"count": true}', "integer count"),
+], ids=["not_json", "not_object", "no_count", "fractional_count", "boolean_count"])
+def test_bad_sample_header_is_a_configuration_error(tmp_path, header, message):
+    path = tmp_path / "bad.samples"
+    rows = np.zeros(8, dtype="<f8").tobytes()      # two samples
+    path.write_bytes(SAMPLE_MAGIC.encode() + b"\n" + header + b"\n" + rows)
+    with pytest.raises(ConfigError, match=message):
+        load_samples(path)
 
 
 def test_samplers_refuse_what_their_state_spec_refuses():
