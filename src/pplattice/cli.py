@@ -257,8 +257,10 @@ def cmd_wigner(args) -> None:
                                    "p": [args.p_min, args.p_max, args.points]},
                            seeds={})
     rho = build_state_fock(state, args.dim)
-    grid = wigner_grid(rho, np.linspace(args.q_min, args.q_max, args.points),
-                       np.linspace(args.p_min, args.p_max, args.points))
+    with np.errstate(invalid="ignore"):     # wigner_grid refuses a non-finite axis
+        q = np.linspace(args.q_min, args.q_max, args.points)
+        p = np.linspace(args.p_min, args.p_max, args.points)
+    grid = wigner_grid(rho, q, p)
     path = manifest.output(f"{args.name}.csv")
     path.write_text(grid.to_csv())
     manifest.save(args.name)

@@ -216,6 +216,8 @@ class _BlockRun:
     def __init__(self, spec: ReservoirSpec, schedule: Schedule, pair0, sources0,
                  generators, threshold: float, keep_amplitudes: bool = False,
                  start: int = 0, stop: int | None = None, alive=None):
+        if not threshold > 0:   # NaN compares False; inf keeps every row
+            raise ConfigError(f"divergence threshold must be positive, got {threshold}")
         self.schedule = schedule
         self.start = start
         self.stop = schedule.n_total if stop is None else stop
@@ -477,6 +479,7 @@ def stability_scan(f_values, *, kerr_values=None, loss_values=None,
     fraction that stayed below the divergence threshold.  Point (i, j) is
     seeded base + (i, j), so `workers` processes give the same fractions as one.
     """
+    _check_workers(workers)
     if (kerr_values is None) == (loss_values is None):
         raise ConfigError("pass exactly one of kerr_values or loss_values")
     f_values = np.asarray(f_values, dtype=float)
@@ -500,9 +503,15 @@ def stability_scan(f_values, *, kerr_values=None, loss_values=None,
         fixed={"loss": loss} if scanning_kerr else {"kerr": kerr})
 
 
+def _check_workers(workers) -> None:
+    """Refuse a worker count that is not an integer >= 1 (booleans included)."""
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+
+
 def _pool_starmap(fn, plans, workers: int) -> list:
     """[fn(*plan) for plan in plans], fanned out over `workers` spawned processes."""
-    if workers <= 1:
+    if workers == 1:
         return [fn(*plan) for plan in plans]
     import multiprocessing
     with multiprocessing.get_context("spawn").Pool(workers) as pool:

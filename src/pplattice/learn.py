@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from .dynamics import (DEFAULT_THRESHOLD, RelaxedStart, Schedule, relax_ensemble,
-                       run_ensemble, _pool_starmap, _seed_base)
+                       run_ensemble, _check_workers, _pool_starmap, _seed_base)
 from .errors import ConfigError, DivergenceError
 from .model import ReservoirSpec, load_yaml
 from .observables import FeatureRecord, csv_text, feature_vector, steady_occupations
@@ -526,6 +526,7 @@ def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
     (2, c, i)).  Record seeds follow the record's position, so the dataset
     is reproducible and independent of generation order and worker count.
     """
+    _check_workers(workers)
     if task not in ("classify", "predict_squeezing"):
         raise ConfigError(f"unknown task {task!r}")
     if train_count < 1 or test_count < 0:

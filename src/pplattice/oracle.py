@@ -52,9 +52,9 @@ not contracted by the map; the Hermitian application adds none, and every
 recorded state, and the state handed to the injection phase, is still
 projected onto its Hermitian part.
 
-SciPy's sparse and special modules load on first use inside the functions
-that need them, so importing the package and running the phase-space paths
-never pays for them.
+SciPy's sparse module loads on first use inside the functions that need it,
+so importing the package and running the phase-space paths never pays for
+it; no SciPy module serves the Wigner grid.
 """
 
 from __future__ import annotations
@@ -478,29 +478,32 @@ class WignerGrid:
                          for i, qv in enumerate(self.q) for j, pv in enumerate(self.p)])
 
 
-def _displacement_column(n: np.ndarray, m: int, z: np.ndarray) -> np.ndarray:
-    """<n|D(z)|m> for all n at fixed m, evaluated on an array of z."""
-    from scipy.special import eval_genlaguerre
-    out = np.zeros(n.shape + z.shape, dtype=complex)
-    zz = np.abs(z) ** 2
-    gauss = np.exp(-zz / 2.0)
-    logfact = _log_factorial(np.arange(n.shape[0] + m + 1))
-    for k in n:
-        if k >= m:
-            scale = math.exp(0.5 * (logfact[m] - logfact[k]))
-            out[k] = scale * z ** (k - m) * gauss * eval_genlaguerre(m, k - m, zz)
-        else:
-            scale = math.exp(0.5 * (logfact[k] - logfact[m]))
-            out[k] = scale * (-np.conj(z)) ** (m - k) * gauss * eval_genlaguerre(k, m - k, zz)
-    return out
+def _laguerre_series(coeffs: np.ndarray, ell: int, x: np.ndarray) -> np.ndarray:
+    """sum_n coeffs[n] f_n(x) by Clenshaw's recurrence, for the normalized
+    f_n = (-1)^n sqrt(n! ell! / (n + ell)!) L_n^(ell)(x): with r_n =
+    sqrt((n + 1)(n + ell + 1)), f_0 = 1 and
+    r_n f_{n+1} = (x - 2n - ell - 1) f_n - r_{n-1} f_{n-1}.
+    """
+    ahead = behind = 0.0
+    for n in range(coeffs.shape[0] - 1, -1, -1):
+        root = math.sqrt((n + 1) * (n + ell + 1))
+        ahead, behind = (coeffs[n] + (x - (2 * n + ell + 1)) * (ahead / root)
+                         - root / math.sqrt((n + 2) * (n + ell + 2)) * behind), ahead
+    return ahead
 
 
 def wigner_grid(rho: FockDensityMatrix, q_grid, p_grid) -> WignerGrid:
-    """Wigner function from the displaced-parity series.
+    """Wigner function from the displaced-parity series, in NumPy alone.
+
+    Clenshaw's method (Johansson, Nation & Nori, Comput. Phys. Commun. 184,
+    1234, 2013): with z = 2 alpha and x = |z|^2, `_laguerre_series` sums each
+    diagonal l of rho (doubled for l > 0, rho being Hermitian), the diagonals
+    combine by Horner's rule in z / sqrt(l + 1), and W = exp(-x/2)/pi Re(...).
 
     Convention hbar = 1, alpha = (q + ip)/sqrt(2); the vacuum gives
-    W(q, p) = exp(-q^2 - p^2)/pi.  Warns when the grid fails to hold the
-    state (trapezoidal mass off 1 by more than 1%).
+    W(q, p) = exp(-q^2 - p^2)/pi.  Refuses grids that are not finite and
+    strictly increasing; warns when the grid fails to hold the state
+    (trapezoidal mass off 1 by more than 1%).
     """
     if rho.n_modes != 1:
         raise ConfigError("Wigner grid needs a single-mode density matrix")
@@ -508,16 +511,16 @@ def wigner_grid(rho: FockDensityMatrix, q_grid, p_grid) -> WignerGrid:
     p = np.asarray(p_grid, dtype=float)
     if q.ndim != 1 or p.ndim != 1 or q.size < 2 or p.size < 2:
         raise ConfigError("q and p grids must be 1-d with at least two points")
-    d = rho.dims[0]
-    alpha = (q[:, None] + 1j * p[None, :]) / math.sqrt(2.0)
-    z = 2.0 * alpha
-    n_idx = np.arange(d)
-    values = np.zeros(alpha.shape, dtype=complex)
-    parity = (-1.0) ** n_idx
-    for m in range(d):
-        column = _displacement_column(n_idx, m, z)       # (d, Q, P)
-        values += parity[m] * np.tensordot(rho.data[m, :], column, axes=(0, 0))
-    grid = np.real(values) / math.pi
+    for name, axis in (("q", q), ("p", p)):
+        if not (np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0)):
+            raise ConfigError(f"{name} grid must be finite and strictly increasing")
+    z = math.sqrt(2.0) * (q[:, None] + 1j * p[None, :])
+    x = z.real ** 2 + z.imag ** 2
+    values = np.zeros(z.shape, dtype=complex)
+    for ell in range(rho.dims[0] - 1, -1, -1):
+        diagonal = np.diagonal(rho.data, ell) * (2.0 if ell else 1.0)
+        values = _laguerre_series(diagonal, ell, x) + values * (z / math.sqrt(ell + 1))
+    grid = values.real * np.exp(-0.5 * x) / math.pi
     mass = trapezoid(trapezoid(grid, p, axis=1), q)
     if abs(mass - 1.0) > 0.01:
         warnings.warn(

@@ -213,6 +213,20 @@ def test_simulate_tiny_threshold_exits_3(tmp_path, capsys):
     assert record["exit_code"] == 3
 
 
+@pytest.mark.parametrize("threshold", ["nan", "-1", "0"])
+def test_simulate_bad_threshold_exits_2(tmp_path, capsys, threshold):
+    reservoir, samples = simulate_setup(tmp_path, capsys)
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "x"), "--seed", "2",
+                           "simulate", "--reservoir", reservoir,
+                           "--samples", samples, "--threshold", threshold,
+                           "--t-relax", "1.0", "--t-final", "1.0")
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "threshold" in record["message"]
+    assert not (tmp_path / "x" / "occupations.csv").exists()
+
+
 def test_simulate_bad_stride_exits_2(tmp_path, capsys):
     reservoir, samples = simulate_setup(tmp_path, capsys)
     code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "x"),
@@ -391,6 +405,20 @@ def test_wigner_cat_csv_shows_negative_fringes(tmp_path, capsys):
     assert code == 0
     _, data = read_csv_columns(tmp_path / "wigner.csv")
     assert data[:, 2].min() < -0.1
+
+
+@pytest.mark.parametrize("bounds", [["--q-min", "nan"], ["--q-min", "inf"],
+                                    ["--q-min", "3", "--q-max", "-3"]],
+                         ids=["nan", "inf", "reversed"])
+def test_wigner_bad_grid_exits_2(tmp_path, capsys, bounds):
+    state = write_yaml(tmp_path / "state.yaml", {"kind": "coherent", "beta": [0.0, 0.0]})
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path), "wigner",
+                           "--state", state, "--dim", "10", "--points", "11", *bounds)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "q grid" in record["message"]
+    assert not (tmp_path / "wigner.csv").exists()
 
 
 # -- pipeline ----------------------------------------------------------------
@@ -644,14 +672,23 @@ def test_module_runs_as_script(tmp_path):
     assert "wrote" in result.stdout
 
 
+def test_package_runs_as_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-m", "pplattice", "--help"],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: pplattice")
+    assert "wigner" in result.stdout
+
+
 LAZY_SCIPY_SCRIPT = """
 import sys
 import numpy as np
 import pplattice as pp
 
-def loaded():
-    return sorted(m for m in sys.modules
-                  if m.startswith(("scipy.sparse", "scipy.special")))
+def loaded(prefixes=("scipy.sparse", "scipy.special")):
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
 
 spec = pp.build_reservoir(2, kerr=0.1, seed=1)
 schedule = pp.Schedule(t_relax=0.5, t_final=0.5, dt=0.05, record_stride=5)
@@ -663,10 +700,11 @@ assert not loaded(), loaded()
 series = pp.evolve_master(pp.vacuum_density(4), pp.build_single_mode(
     drive=0.5, kerr=0.1, loss=1.0), None, schedule)
 assert np.all(np.isfinite(series.occupation))
+assert loaded("scipy.sparse")
 grid = pp.wigner_grid(pp.build_state_fock(pp.coherent_state(0.5), 8),
                       np.linspace(-4, 4, 41), np.linspace(-4, 4, 41))
 assert np.all(np.isfinite(grid.values))
-assert loaded()
+assert not loaded("scipy.special"), loaded("scipy.special")
 """
 
 

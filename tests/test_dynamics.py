@@ -417,6 +417,42 @@ def test_empty_ensemble_is_a_configuration_error():
         relax_ensemble(spec, schedule, 0, seed=0)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0])
+def test_bad_threshold_is_refused_before_integrating(monkeypatch, threshold):
+    def never(self):
+        raise AssertionError("integrated with a refused threshold")
+    monkeypatch.setattr(_BlockRun, "run", never)
+    spec = build_single_mode(drive=1.0, kerr=0.0, loss=1.0)
+    schedule = Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=4)
+    start = PhaseSamplePair(alpha=np.zeros(1, complex), alpha_tilde=np.zeros(1, complex))
+    calls = [lambda: evolve_trajectory(start, spec, schedule, seed=0, threshold=threshold),
+             lambda: relax_ensemble(spec, schedule, 4, seed=0, threshold=threshold),
+             lambda: run_ensemble(spec, vacuum_samples(4), schedule, seed=0,
+                                  threshold=threshold),
+             lambda: stability_scan(np.array([1.0]), kerr_values=np.array([0.1]),
+                                    trajectories=4, horizon=1.0, threshold=threshold)]
+    for call in calls:
+        with pytest.raises(ConfigError, match="threshold must be positive"):
+            call()
+
+
+def test_infinite_threshold_keeps_every_trajectory():
+    spec = build_single_mode(drive=1.0, kerr=0.1, loss=1.0)
+    schedule = Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=4)
+    series = run_ensemble(spec, vacuum_samples(8), schedule, seed=0, threshold=math.inf)
+    assert series.divergence_fraction == 0.0
+
+
+@pytest.mark.parametrize("workers", [0, -1, True])
+def test_bad_worker_count_is_refused_before_scanning(monkeypatch, workers):
+    def never(self):
+        raise AssertionError("integrated with a refused worker count")
+    monkeypatch.setattr(_BlockRun, "run", never)
+    with pytest.raises(ConfigError, match="workers must be an integer >= 1"):
+        stability_scan(np.array([1.0]), kerr_values=np.array([0.1]),
+                       trajectories=4, horizon=1.0, workers=workers)
+
+
 def test_divergent_trajectories_are_excluded_from_means():
     # strong drive + strong Kerr: some trajectories blow up, survivors stay finite
     spec = build_single_mode(drive=5.0, kerr=1.0, loss=1.0)

@@ -369,6 +369,18 @@ def test_all_divergent_records_are_flagged(small_reservoir, small_schedule):
         assert np.all(record.features == 0.0)
 
 
+@pytest.mark.parametrize("workers", [0, -1, True])
+def test_bad_worker_count_is_refused_before_generating(monkeypatch, small_reservoir,
+                                                       small_schedule, workers):
+    def never(*args, **kwargs):
+        raise AssertionError("simulated with a refused worker count")
+    monkeypatch.setattr(learn, "relax_ensemble", never)
+    monkeypatch.setattr(learn, "_pool_starmap", never)
+    with pytest.raises(ConfigError, match="workers must be an integer >= 1"):
+        generate_dataset("classify", small_reservoir, small_schedule, train_count=1,
+                         test_count=0, trajectories=4, seed=1, workers=workers)
+
+
 def test_dataset_generation_relaxes_once(monkeypatch, small_reservoir, small_schedule):
     calls = {"relax_ensemble": [], "run_ensemble": []}
 

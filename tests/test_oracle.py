@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import lagval
 from scipy.linalg import expm
 
 from conftest import max_se_ratio
@@ -413,6 +414,74 @@ def test_wigner_grid_validation_and_mass_warning():
         wigner_grid(vacuum_density((3, 3)), np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))
     with pytest.warns(RuntimeWarning):
         wigner_grid(rho, np.linspace(-0.5, 0.5, 9), np.linspace(-0.5, 0.5, 9))
+
+
+@pytest.mark.parametrize("axis", [[0.0, math.nan, 1.0], [0.0, 1.0, math.inf],
+                                  [1.0, 0.0, -1.0], [0.0, 0.0, 1.0]],
+                         ids=["nan", "inf", "decreasing", "repeated"])
+def test_wigner_grid_refuses_non_finite_or_unordered_axes(axis):
+    rho = vacuum_density(4)
+    good = np.linspace(-4.0, 4.0, 9)
+    with pytest.raises(ConfigError, match="q grid"):
+        wigner_grid(rho, np.array(axis), good)
+    with pytest.raises(ConfigError, match="p grid"):
+        wigner_grid(rho, good, np.array(axis))
+
+
+def _fock_density(n: int, d: int) -> FockDensityMatrix:
+    data = np.zeros((d, d), dtype=complex)
+    data[n, n] = 1.0
+    return FockDensityMatrix(data=data, dims=(d,))
+
+
+@pytest.mark.filterwarnings("ignore:Wigner grid mass")
+@pytest.mark.parametrize("d", [40, 80])
+def test_fock_wigner_matches_laguerre_closed_form(d):
+    # W_n = (-1)^n exp(-2|alpha|^2) L_n(4|alpha|^2) / pi, 4|alpha|^2 = 2(q^2 + p^2)
+    axis = np.linspace(-math.sqrt(4 * d), math.sqrt(4 * d), 61)
+    radius2 = axis[:, None] ** 2 + axis[None, :] ** 2
+    for n in (0, d // 2, d - 1):
+        grid = wigner_grid(_fock_density(n, d), axis, axis)
+        unit = np.zeros(n + 1)
+        unit[n] = 1.0
+        expected = (-1) ** n * np.exp(-radius2) * lagval(2.0 * radius2, unit) / math.pi
+        assert np.max(np.abs(grid.values - expected)) < 1e-12, n
+
+
+def test_coherent_wigner_matches_displaced_gaussian():
+    beta = 1.0 + 0.5j
+    q = np.linspace(-2.0, 5.0, 141)
+    p = np.linspace(-2.0, 4.0, 121)
+    grid = wigner_grid(build_state_fock(coherent_state(beta), 25), q, p)
+    alpha = (q[:, None] + 1j * p[None, :]) / math.sqrt(2.0)
+    expected = np.exp(-2.0 * np.abs(alpha - beta) ** 2) / math.pi
+    assert np.max(np.abs(grid.values - expected)) < 1e-10
+
+
+def _displaced_parity_wigner(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """W = Re sum_{m,n} (-1)^m rho[m, n] <n|D(2 alpha)|m> / pi term by term,
+    with SciPy's generalized Laguerre polynomials in the matrix elements."""
+    from scipy.special import eval_genlaguerre, gammaln
+    z = math.sqrt(2.0) * (q[:, None] + 1j * p[None, :])
+    x = np.abs(z) ** 2
+    total = np.zeros(z.shape, dtype=complex)
+    for m in range(rho.shape[0]):
+        for n in range(rho.shape[0]):
+            lo, hi = min(m, n), max(m, n)
+            shift = z ** (n - m) if n >= m else (-np.conj(z)) ** (m - n)
+            element = (np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)) - 0.5 * x)
+                       * shift * eval_genlaguerre(lo, hi - lo, x))
+            total += (-1) ** m * rho[m, n] * element
+    return total.real / math.pi
+
+
+@pytest.mark.filterwarnings("ignore:Wigner grid mass")
+def test_squeezed_wigner_matches_displaced_parity_series():
+    rho = build_state_fock(squeezed_state(1.0, 0.3), 80)
+    axis = np.linspace(-6.0, 6.0, 11)
+    grid = wigner_grid(rho, axis, axis)
+    expected = _displaced_parity_wigner(rho.data, axis, axis)
+    assert np.max(np.abs(grid.values - expected)) < 1e-12
 
 
 def test_wigner_csv_round_trip_shape(tmp_path):
