@@ -330,6 +330,8 @@ def cmd_pipeline(args) -> None:
     base_seed = _number(cfg, "seed", 0 if args.seed is None else args.seed, integer=True)
     train_count = _number(cfg, "counts.train", 60, integer=True)
     test_count = _number(cfg, "counts.test", 15, integer=True)
+    if test_count < 1:
+        raise ConfigError(f"counts.test must be >= 1 to evaluate the readout, got {test_count}")
     trajectories = _number(cfg, "trajectories", 2000, integer=True)
     runs = _number(cfg, "runs", 3, integer=True)
     if runs < 1:

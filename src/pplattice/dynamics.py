@@ -37,8 +37,8 @@ cannot see the source (the cascade factorization of Gardiner, PRL 70, 2269,
 phase once and run_ensemble(relaxed=...) resumes from it at injection.
 
 Reproducibility: trajectory i of an ensemble seeded b draws its noise from an
-own PCG64 stream seeded by b + (i,), in fixed 128-step slabs counted from the
-run's first step, alpha's noise from the first N of each step's 2N draws;
+own PCG64 stream seeded by b + (i,), in order, alpha's noise from the first N
+of each step's 2N draws (a slab's length bounds memory and changes no draw);
 ensemble reduction runs over fixed 512-trajectory blocks combined in index
 order, so results are bit-identical regardless of how work is partitioned.
 Dataset record (c, i) under root seed r samples its input from r + (1, c, i)
@@ -61,7 +61,7 @@ from .observables import OccupationSeries, csv_text, occupation
 from .sampler import PhaseSampleSet, vacuum_samples
 
 BLOCK_TRAJECTORIES = 512   # fixed reduction block; do not tune per machine
-NOISE_SLAB_STEPS = 128     # noise is drawn per trajectory in slabs this long
+NOISE_SLAB_BYTES = 1 << 20  # a block's noise is drawn in slabs of about this size
 DEFAULT_THRESHOLD = 1e10   # |alpha|^2 + |alpha_tilde|^2 divergence cutoff
 MIDPOINT_ITERATIONS = 2
 
@@ -243,14 +243,15 @@ class _BlockRun:
         n_relax = sched.n_relax
         # slab (step, 2, S, N): trajectory i's draws fill column i, in the
         # order of a (length, 2N) draw whose first N columns drive alpha
-        noise_buf = np.empty((NOISE_SLAB_STEPS, 2, s, n))
+        slab = max(1, NOISE_SLAB_BYTES // (16 * s * n))
+        noise_buf = np.empty((min(slab, self.stop - self.start), 2, s, n))
         self._record(0)
         rec = 1
         with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
             for k in range(self.start, self.stop):
-                slab_pos = (k - self.start) % NOISE_SLAB_STEPS
+                slab_pos = (k - self.start) % slab
                 if slab_pos == 0:
-                    length = min(NOISE_SLAB_STEPS, self.stop - k)
+                    length = min(slab, self.stop - k)
                     for i, gen in enumerate(self.generators):
                         noise_buf[:length, :, i] = gen.standard_normal((length, 2, n))
                 coeffs = self.coeffs[0] if k < n_relax else self.coeffs[1]
@@ -354,22 +355,27 @@ def _block_runs(spec, schedule, initial: RelaxedStart, sources0, base: tuple,
             start=start, stop=stop, alive=initial.alive[lo:hi]).run()
 
 
-def _ensemble_series(runs, times, total: int, injection_time: float) -> OccupationSeries | None:
+def _ensemble_series(runs, times, total: int, injection_time: float,
+                     ends: list | None = None) -> OccupationSeries | None:
     """Moments over the surviving trajectories of `runs`; None if none survived.
 
     Each block contributes (count, mean, M2) triples, merged in block order
     by the Chan-Golub-LeVeque update (Am. Stat. 37, 242, 1983), so the
-    variance does not cancel catastrophically at large means.
+    variance does not cancel catastrophically at large means.  A block's
+    recording is dropped once merged; `ends` collects its final (pair, alive).
     """
     occ = src = None
     lo, hi = np.inf, -np.inf
     for run in runs:
+        if ends is not None:
+            ends.append((run.pair, run.alive))
         block = run.occupations[run.alive]
         if block.shape[0]:
             occ = _merge_moments(occ, block)
             src = _merge_moments(src, run.source_occupations[run.alive])
             lo = np.minimum(lo, block.min(axis=0))
             hi = np.maximum(hi, block.max(axis=0))
+        del run, block   # free this block's recording before the next is integrated
     if occ is None:
         return None
     kept, mean, m2 = occ
@@ -400,16 +406,17 @@ def _merge_moments(acc, block):
 def relax_ensemble(spec: ReservoirSpec, schedule: Schedule, trajectories: int,
                    seed=None, threshold: float = DEFAULT_THRESHOLD) -> RelaxedStart:
     """Integrate the relaxation phase (f = 0) of `trajectories` vacuum-start
-    reservoir trajectories, for any number of injections to resume from."""
+    reservoir trajectories, for any number of injections to resume from.
+    One block's recording is in memory at a time."""
     vacuum = _vacuum_start(trajectories, spec.n_modes)
-    runs = list(_block_runs(spec, schedule, vacuum, np.zeros((2, trajectories)),
-                            _seed_base(seed), threshold, 0, schedule.n_relax))
-    alive = np.concatenate([run.alive for run in runs])
-    pair = np.where(alive[:, None], np.concatenate([run.pair for run in runs], axis=1), 0)
-    return RelaxedStart(
-        alpha=pair[0], alpha_tilde=pair[1], alive=alive,
-        series=_ensemble_series(runs, schedule.times[:schedule.injection_index + 1],
-                                trajectories, schedule.t_relax))
+    ends = []
+    series = _ensemble_series(
+        _block_runs(spec, schedule, vacuum, np.zeros((2, trajectories)),
+                    _seed_base(seed), threshold, 0, schedule.n_relax),
+        schedule.times[:schedule.injection_index + 1], trajectories, schedule.t_relax, ends)
+    alive = np.concatenate([a for _, a in ends])
+    pair = np.where(alive[:, None], np.concatenate([p for p, _ in ends], axis=1), 0)
+    return RelaxedStart(alpha=pair[0], alpha_tilde=pair[1], alive=alive, series=series)
 
 
 def run_ensemble(spec: ReservoirSpec, source_samples: PhaseSampleSet, schedule: Schedule,

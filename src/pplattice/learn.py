@@ -59,14 +59,20 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size is not None and (isinstance(self.batch_size, bool)
-                                            or not isinstance(self.batch_size, numbers.Integral)
-                                            or self.batch_size < 1):
+        rate = self.learning_rate
+        if (isinstance(rate, bool) or not isinstance(rate, numbers.Real)
+                or not (rate > 0 and math.isfinite(rate))):
+            raise ConfigError(f"learning rate must be a positive number, got {rate!r}")
+        if not _is_count(self.epochs):
+            raise ConfigError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        if self.batch_size is not None and not _is_count(self.batch_size):
             raise ConfigError(f"batch size must be an integer >= 1, got {self.batch_size!r}")
+
+
+def _is_count(value) -> bool:
+    """An integer >= 1 (NumPy's too) that is not a boolean."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
+            and value >= 1)
 
 
 CLASSIFY_HYPERPARAMS = Hyperparams(learning_rate=5e-4, epochs=10_000, batch_size=None)
@@ -449,8 +455,10 @@ class Metrics:
 
 def evaluate(model: ReadoutModel, dataset: Dataset, split: str = "test") -> Metrics:
     """Accuracy plus row-normalized confusion matrix, or MSE for regression."""
+    x = dataset.features(split)
+    if not len(x):
+        raise ConfigError(f"the {split} split has no records to evaluate")
     if model.kind == "classify":
-        x = dataset.features(split)
         true = dataset.class_indices(split)
         pred = model.predict_class(x)
         k = len(dataset.classes)
@@ -464,7 +472,6 @@ def evaluate(model: ReadoutModel, dataset: Dataset, split: str = "test") -> Metr
                 norm[j] = counts[j] / row_total[j]
         return Metrics(kind="classify", accuracy=float(np.mean(pred == true)),
                        confusion_counts=counts, confusion=norm)
-    x = dataset.features(split)
     zeta = dataset.targets(split)
     pred = model.predict_complex(x)
     sq = np.abs(zeta - pred) ** 2

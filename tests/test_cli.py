@@ -568,6 +568,35 @@ def test_pipeline_zero_runs_exits_2(tmp_path, capsys):
     assert not (tmp_path / "metrics.yaml").exists()
 
 
+@pytest.mark.parametrize("task", ["classify", "predict_squeezing", "classify_sweep"])
+def test_pipeline_empty_test_split_exits_2(tmp_path, capsys, task):
+    # no test record means no accuracy or MSE: refused before anything is simulated
+    config = write_yaml(tmp_path / "experiment.yaml", {
+        **MICRO_CLASSIFY, "task": task, "counts": {"train": 2, "test": 0}})
+    code, out, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"),
+                             "pipeline", "--config", config)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "counts.test" in record["message"]
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("epochs", 2.5), ("epochs", True),
+                                        ("learning_rate", True)])
+def test_pipeline_fractional_or_boolean_hyperparams_exit_2(tmp_path, capsys, key, value):
+    config = write_yaml(tmp_path / "experiment.yaml",
+                        {**MICRO_CLASSIFY, "hyperparams": {"epochs": 40, key: value}})
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"),
+                           "pipeline", "--config", config)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert f"hyperparams.{key}" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("sweep_modes", [[], [2, "three"], [2, 2.5], 4])
 def test_pipeline_bad_sweep_modes_exits_2(tmp_path, capsys, sweep_modes):
     config = write_yaml(tmp_path / "sweep.yaml", {

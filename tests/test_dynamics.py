@@ -1,6 +1,7 @@
 """Stochastic integrator: drift split, exactness properties, ensembles, scans."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -207,6 +208,45 @@ def test_trajectory_is_bitwise_equal_to_its_row_in_a_full_block():
         assert np.array_equal(record.source, block.src[0, i])
 
 
+def slab_outputs(monkeypatch, steps):
+    """Relaxation over 3 blocks (the last partial), a resumed injection in
+    which some rows diverge, and one trajectory, with noise slabs of `steps`
+    steps for a full block (None: the default budget)."""
+    spec = build_reservoir(shape_for_modes(2), kerr=0.08, drive=0.5, seed=3)
+    schedule = Schedule(t_relax=4.0, t_final=1.5, dt=0.05, record_stride=2)
+    count = 2 * dynamics.BLOCK_TRAJECTORIES + 100
+    samples = sample_state(cat_state(1.25), count, seed=4)
+
+    def budget(rows):
+        if steps is not None:
+            monkeypatch.setattr(dynamics, "NOISE_SLAB_BYTES", steps * 16 * rows * spec.n_modes)
+
+    budget(dynamics.BLOCK_TRAJECTORIES)
+    relaxed = relax_ensemble(spec, schedule, count, seed=(5,))
+    resumed = run_ensemble(spec, samples, schedule, seed=(6,), relaxed=relaxed, threshold=5.0)
+    budget(1)
+    record = evolve_trajectory(
+        PhaseSamplePair(alpha=relaxed.alpha[7], alpha_tilde=relaxed.alpha_tilde[7],
+                        source=complex(samples.alpha[7]),
+                        source_tilde=complex(samples.alpha_tilde[7])),
+        spec, schedule, seed=8, index=7)
+    monkeypatch.undo()
+    assert 0 < resumed.divergence_fraction < 0.5
+    return [relaxed.alpha, relaxed.alpha_tilde, relaxed.alive, relaxed.series.mean,
+            relaxed.series.stderr, relaxed.series.source_occupation,
+            resumed.mean, resumed.stderr, resumed.source_occupation,
+            [resumed.divergence_fraction], record.alpha, record.alpha_tilde, record.source]
+
+
+@pytest.mark.parametrize("steps", [1, 7, 10_000])
+def test_noise_slab_length_changes_no_draw(monkeypatch, steps):
+    # the default is 64 steps; 7 divides neither phase (80 and 30 steps); 10,000
+    # exceeds the run
+    reference = slab_outputs(monkeypatch, None)
+    for got, want in zip(slab_outputs(monkeypatch, steps), reference):
+        assert np.array_equal(got, want)
+
+
 # -- ensembles -------------------------------------------------------------------
 
 def test_block_reduction_matches_two_pass_reference_at_large_mean():
@@ -345,6 +385,24 @@ def test_resumed_run_continues_the_relaxation():
     assert np.array_equal(resumed.times, schedule.times[schedule.injection_index:])
     assert resumed.injection_time == schedule.t_relax
     assert np.max(np.abs(resumed.mean - plain.mean[schedule.injection_index:])) < 1e-12
+
+
+def test_relaxation_memory_does_not_grow_with_trajectories():
+    # each block's recording is merged and freed before the next is integrated
+    spec = build_reservoir(shape_for_modes(2), kerr=0.08, drive=0.5, seed=3)
+    schedule = Schedule(t_relax=5.0, t_final=0.0, dt=0.05, record_stride=1)
+    rows = dynamics.BLOCK_TRAJECTORIES
+    recording = rows * (schedule.injection_index + 1) * (spec.n_modes + 1) * 8
+    relax_ensemble(spec, schedule, 8, seed=0)       # warm caches outside the trace
+    peaks = []
+    for count in (rows, 4 * rows):
+        tracemalloc.start()
+        try:
+            relax_ensemble(spec, schedule, count, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < recording / 2
 
 
 def test_trajectories_lost_while_relaxing_count_as_diverged():

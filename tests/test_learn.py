@@ -215,7 +215,38 @@ def test_hyperparameter_validation():
     assert Hyperparams(learning_rate=0.1, epochs=10, batch_size=np.int64(4)).batch_size == 4
 
 
+@pytest.mark.parametrize("bad", [2.5, 10.0, True, np.float64(3.0)])
+def test_fractional_or_boolean_epochs_are_refused(bad):
+    with pytest.raises(ConfigError, match="epochs"):
+        Hyperparams(learning_rate=0.1, epochs=bad)
+
+
+def test_numpy_integer_epochs_train():
+    hyper = Hyperparams(learning_rate=0.05, epochs=np.int64(3), seed=0)
+    _, curves = train_classifier(toy_dataset(), hyper)
+    assert len(curves.train_loss) == 3
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "0.1"])
+def test_boolean_or_text_learning_rate_is_refused(bad):
+    with pytest.raises(ConfigError, match="learning rate"):
+        Hyperparams(learning_rate=bad, epochs=10)
+
+
 # -- evaluation ----------------------------------------------------------------------
+
+def test_evaluating_an_empty_split_is_a_configuration_error():
+    # an empty test split has no accuracy or MSE; NaN must not pass for one
+    hyper = Hyperparams(learning_rate=0.02, epochs=5, seed=0)
+    dataset = toy_dataset(per_class_test=0)
+    model, _ = train_classifier(dataset, hyper)
+    with pytest.raises(ConfigError, match="test split has no records"):
+        evaluate(model, dataset, "test")
+    dataset = regression_dataset([0.3 + 0.1j], [[1.0, 0.5]])
+    model, _ = train_regressor(dataset, hyper)
+    with pytest.raises(ConfigError, match="test split has no records"):
+        evaluate(model, dataset, "test")
+
 
 def test_confusion_matrix_rows_are_exact_distributions():
     dataset = toy_dataset(noise=0.4, seed=4)
