@@ -24,7 +24,7 @@ import scipy
 import yaml
 
 from . import __version__
-from .dynamics import DEFAULT_THRESHOLD, Schedule, run_ensemble, stability_scan
+from .dynamics import DIVERGENCE_THRESHOLD, Schedule, run_ensemble, stability_scan
 from .errors import ConfigError, NumericsError
 from .learn import (BASELINE_PAIR_CONFUSED_ACCURACY, BASELINE_UNIFORM_ACCURACY,
                     CLASSIFY_HYPERPARAMS, REGRESS_HYPERPARAMS, Hyperparams,
@@ -160,11 +160,9 @@ def cmd_simulate(args) -> None:
     manifest = RunManifest("simulate", args.out_dir,
                            config={"reservoir": spec.to_dict(),
                                    "schedule": vars(schedule).copy(),
-                                   "samples": str(args.samples),
-                                   "threshold": args.threshold},
+                                   "samples": str(args.samples)},
                            seeds={"ensemble": args.seed})
-    series = run_ensemble(spec, samples, schedule, seed=args.seed,
-                          threshold=args.threshold)
+    series = run_ensemble(spec, samples, schedule, seed=args.seed)
     path = manifest.output(f"{args.name}.csv")
     path.write_text(series.to_csv())
     manifest.save(args.name)
@@ -173,6 +171,9 @@ def cmd_simulate(args) -> None:
 
 def cmd_stability_scan(args) -> None:
     cfg = load_yaml(args.config)
+    if "threshold" in cfg:
+        raise ConfigError("scan config key 'threshold' is not supported: the divergence "
+                          f"cutoff is fixed at {DIVERGENCE_THRESHOLD:g}")
     axes = {name: np.linspace(_number(cfg, f"{name}.start"), _number(cfg, f"{name}.stop"),
                               _number(cfg, f"{name}.count", integer=True))
             for name in ("f", "kerr", "loss") if name in cfg}
@@ -180,7 +181,6 @@ def cmd_stability_scan(args) -> None:
         raise ConfigError("scan config needs an 'f' axis plus exactly one of 'kerr'/'loss'")
     kwargs = dict(trajectories=_number(cfg, "trajectories", 500, integer=True),
                   horizon=_number(cfg, "horizon", 25.0), dt=_number(cfg, "dt", 0.05),
-                  threshold=_number(cfg, "threshold", DEFAULT_THRESHOLD),
                   seed=args.seed, workers=args.workers)
     if "kerr" in axes:
         kwargs["kerr_values"] = axes["kerr"]
@@ -333,7 +333,10 @@ def cmd_pipeline(args) -> None:
     if test_count < 1:
         raise ConfigError(f"counts.test must be >= 1 to evaluate the readout, got {test_count}")
     trajectories = _number(cfg, "trajectories", 2000, integer=True)
-    runs = _number(cfg, "runs", 3, integer=True)
+    runs = _number(cfg, "runs", 1 if regress else 3, integer=True)
+    if regress and runs != 1:
+        raise ConfigError(f"runs must be 1 for predict_squeezing, which trains one "
+                          f"readout; got {runs}")
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     run_seeds = [base_seed + 1000 + k for k in range(runs)]
@@ -432,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("simulate", help="run a trajectory ensemble")
     m.add_argument("--reservoir", required=True)
     m.add_argument("--samples", required=True)
-    m.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     m.add_argument("--name", default="occupations")
     _add_schedule_flags(m)
     m.set_defaults(func=cmd_simulate)

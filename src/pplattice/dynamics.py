@@ -62,7 +62,7 @@ from .sampler import PhaseSampleSet, vacuum_samples
 
 BLOCK_TRAJECTORIES = 512   # fixed reduction block; do not tune per machine
 NOISE_SLAB_BYTES = 1 << 20  # a block's noise is drawn in slabs of about this size
-DEFAULT_THRESHOLD = 1e10   # |alpha|^2 + |alpha_tilde|^2 divergence cutoff
+DIVERGENCE_THRESHOLD = 1e10  # |alpha|^2 + |alpha_tilde|^2 divergence cutoff
 MIDPOINT_ITERATIONS = 2
 
 
@@ -214,10 +214,8 @@ class _BlockRun:
     """
 
     def __init__(self, spec: ReservoirSpec, schedule: Schedule, pair0, sources0,
-                 generators, threshold: float, keep_amplitudes: bool = False,
+                 generators, keep_amplitudes: bool = False,
                  start: int = 0, stop: int | None = None, alive=None):
-        if not threshold > 0:   # NaN compares False; inf keeps every row
-            raise ConfigError(f"divergence threshold must be positive, got {threshold}")
         self.schedule = schedule
         self.start = start
         self.stop = schedule.n_total if stop is None else stop
@@ -226,12 +224,10 @@ class _BlockRun:
         self.pair = pair0.astype(complex)            # astype copies
         self.sources = sources0.astype(complex)
         self.generators = generators
-        self.threshold = threshold
         self.alive = np.ones(s, dtype=bool) if alive is None else alive.copy()
         self.diverged_at = np.full(s, np.nan)
         t_rec = (self.stop - start) // schedule.record_stride + 1
         self.occupations = np.zeros((s, t_rec, n))
-        self.source_occupations = np.zeros((s, t_rec))
         self.amp = np.zeros((2, s, t_rec, n), dtype=complex) if keep_amplitudes else None
         self.src = np.zeros((2, s, t_rec), dtype=complex) if keep_amplitudes else None
 
@@ -266,7 +262,7 @@ class _BlockRun:
 
     def _check_divergence(self, time: float):
         square = self.pair.real ** 2 + self.pair.imag ** 2
-        within = square[0] + square[1] <= self.threshold   # NaN compares False
+        within = square[0] + square[1] <= DIVERGENCE_THRESHOLD   # NaN compares False
         if within.all():
             return
         bounded = within.all(axis=1)
@@ -279,7 +275,6 @@ class _BlockRun:
 
     def _record(self, rec: int):
         self.occupations[:, rec, :] = occupation(self.pair[0], self.pair[1])
-        self.source_occupations[:, rec] = occupation(self.sources[0], self.sources[1])
         if self.amp is not None:
             self.amp[:, :, rec, :] = self.pair
             self.src[:, :, rec] = self.sources
@@ -299,8 +294,7 @@ class TrajectoryRecord:
 
 
 def evolve_trajectory(initial: PhaseSamplePair, spec: ReservoirSpec, schedule: Schedule,
-                      seed=None, index: int = 0,
-                      threshold: float = DEFAULT_THRESHOLD) -> TrajectoryRecord:
+                      seed=None, index: int = 0) -> TrajectoryRecord:
     """Integrate a single trajectory; equals trajectory `index` of run_ensemble
     under the same root seed."""
     pair0 = np.array([initial.alpha, initial.alpha_tilde], dtype=complex).reshape(2, 1, -1)
@@ -311,7 +305,7 @@ def evolve_trajectory(initial: PhaseSamplePair, spec: ReservoirSpec, schedule: S
         spec, schedule, pair0,
         np.array([[initial.source], [initial.source_tilde]], dtype=complex),
         _trajectory_generators(_seed_base(seed), index, 1),
-        threshold, keep_amplitudes=True).run()
+        keep_amplitudes=True).run()
     diverged = not run.alive[0]
     return TrajectoryRecord(
         times=schedule.times, alpha=run.amp[0, 0], alpha_tilde=run.amp[1, 0],
@@ -340,7 +334,7 @@ def _vacuum_start(trajectories: int, n_modes: int) -> RelaxedStart:
 
 
 def _block_runs(spec, schedule, initial: RelaxedStart, sources0, base: tuple,
-                threshold: float, start: int, stop: int):
+                start: int, stop: int):
     """Integrate fixed 512-trajectory blocks in index order, yielding each run.
 
     An empty ensemble is refused when the first run is asked for."""
@@ -351,7 +345,7 @@ def _block_runs(spec, schedule, initial: RelaxedStart, sources0, base: tuple,
         hi = min(lo + BLOCK_TRAJECTORIES, total)
         yield _BlockRun(
             spec, schedule, np.stack([initial.alpha[lo:hi], initial.alpha_tilde[lo:hi]]),
-            sources0[:, lo:hi], _trajectory_generators(base, lo, hi - lo), threshold,
+            sources0[:, lo:hi], _trajectory_generators(base, lo, hi - lo),
             start=start, stop=stop, alive=initial.alive[lo:hi]).run()
 
 
@@ -364,7 +358,7 @@ def _ensemble_series(runs, times, total: int, injection_time: float,
     variance does not cancel catastrophically at large means.  A block's
     recording is dropped once merged; `ends` collects its final (pair, alive).
     """
-    occ = src = None
+    occ = None
     lo, hi = np.inf, -np.inf
     for run in runs:
         if ends is not None:
@@ -372,7 +366,6 @@ def _ensemble_series(runs, times, total: int, injection_time: float,
         block = run.occupations[run.alive]
         if block.shape[0]:
             occ = _merge_moments(occ, block)
-            src = _merge_moments(src, run.source_occupations[run.alive])
             lo = np.minimum(lo, block.min(axis=0))
             hi = np.maximum(hi, block.max(axis=0))
         del run, block   # free this block's recording before the next is integrated
@@ -385,8 +378,7 @@ def _ensemble_series(runs, times, total: int, injection_time: float,
         times=times, mean=mean, stderr=stderr,
         divergence_fraction=(total - kept) / total,
         n_trajectories=total,
-        injection_time=injection_time,
-        source_occupation=src[1])
+        injection_time=injection_time)
 
 
 def _merge_moments(acc, block):
@@ -404,7 +396,7 @@ def _merge_moments(acc, block):
 
 
 def relax_ensemble(spec: ReservoirSpec, schedule: Schedule, trajectories: int,
-                   seed=None, threshold: float = DEFAULT_THRESHOLD) -> RelaxedStart:
+                   seed=None) -> RelaxedStart:
     """Integrate the relaxation phase (f = 0) of `trajectories` vacuum-start
     reservoir trajectories, for any number of injections to resume from.
     One block's recording is in memory at a time."""
@@ -412,7 +404,7 @@ def relax_ensemble(spec: ReservoirSpec, schedule: Schedule, trajectories: int,
     ends = []
     series = _ensemble_series(
         _block_runs(spec, schedule, vacuum, np.zeros((2, trajectories)),
-                    _seed_base(seed), threshold, 0, schedule.n_relax),
+                    _seed_base(seed), 0, schedule.n_relax),
         schedule.times[:schedule.injection_index + 1], trajectories, schedule.t_relax, ends)
     alive = np.concatenate([a for _, a in ends])
     pair = np.where(alive[:, None], np.concatenate([p for p, _ in ends], axis=1), 0)
@@ -420,17 +412,16 @@ def relax_ensemble(spec: ReservoirSpec, schedule: Schedule, trajectories: int,
 
 
 def run_ensemble(spec: ReservoirSpec, source_samples: PhaseSampleSet, schedule: Schedule,
-                 seed=None, *, threshold: float = DEFAULT_THRESHOLD,
-                 relaxed: RelaxedStart | None = None) -> OccupationSeries:
+                 seed=None, *, relaxed: RelaxedStart | None = None) -> OccupationSeries:
     """Ensemble occupation statistics: source sample i drives trajectory i.
 
     Reservoir modes start from vacuum (alpha = alpha_tilde = 0); the source
     pair is installed at t=0 and stays frozen through the relaxation phase.
     With `relaxed` (from relax_ensemble on the same spec and schedule),
     trajectory i resumes from relaxed row i at the injection time instead,
-    and the series covers the recorded times from t_relax on.  Diverged
-    trajectories, also those lost while relaxing, are excluded from the
-    averages entirely; if all diverge, raises DivergenceError.
+    and the series covers the recorded times from t_relax on.  Trajectories
+    past DIVERGENCE_THRESHOLD, also those lost while relaxing, are excluded
+    from the averages entirely; if all diverge, raises DivergenceError.
     """
     total = len(source_samples)
     start = 0 if relaxed is None else schedule.n_relax
@@ -440,12 +431,12 @@ def run_ensemble(spec: ReservoirSpec, source_samples: PhaseSampleSet, schedule: 
                           f"expected ({total}, {spec.n_modes})")
     runs = _block_runs(spec, schedule, initial,
                        np.stack([source_samples.alpha, source_samples.alpha_tilde]),
-                       _seed_base(seed), threshold, start, schedule.n_total)
+                       _seed_base(seed), start, schedule.n_total)
     series = _ensemble_series(runs, schedule.times[start // schedule.record_stride:],
                               total, schedule.t_relax)
     if series is None:
         raise DivergenceError(
-            f"all {total} trajectories diverged (threshold {threshold:g})")
+            f"all {total} trajectories diverged (threshold {DIVERGENCE_THRESHOLD:g})")
     return series
 
 
@@ -474,8 +465,7 @@ class StabilityScan:
 
 
 def stability_scan(f_values, *, kerr_values=None, loss_values=None,
-                   trajectories: int = 500, horizon: float = 25.0, dt: float = 0.05,
-                   seed=None, threshold: float = DEFAULT_THRESHOLD,
+                   trajectories: int = 500, horizon: float = 25.0, dt: float = 0.05, seed=None,
                    kerr: float = 0.1, loss: float = 1.0, workers: int = 1) -> StabilityScan:
     """Map single-mode trajectory stability over a parameter grid.
 
@@ -483,7 +473,7 @@ def stability_scan(f_values, *, kerr_values=None, loss_values=None,
     other parameter is held at its keyword value (loss=1 for the drive-kerr
     plane, kerr=0.1 for the drive-loss plane).  Each grid point integrates
     `trajectories` vacuum-start trajectories over `horizon` and reports the
-    fraction that stayed below the divergence threshold.  Point (i, j) is
+    fraction that stayed below DIVERGENCE_THRESHOLD.  Point (i, j) is
     seeded base + (i, j), so `workers` processes give the same fractions as one.
     """
     _check_workers(workers)
@@ -500,7 +490,7 @@ def stability_scan(f_values, *, kerr_values=None, loss_values=None,
     vacuum = vacuum_samples(trajectories)
     plans = [(build_single_mode(drive=f_amp, kerr=(o if scanning_kerr else kerr),
                                 loss=(loss if scanning_kerr else o)),
-              vacuum, schedule, base + (i, j), threshold)
+              vacuum, schedule, base + (i, j))
              for i, o in enumerate(other) for j, f_amp in enumerate(f_values)]
     fractions = _pool_starmap(_convergent_fraction, plans, workers)
     return StabilityScan(
@@ -525,9 +515,9 @@ def _pool_starmap(fn, plans, workers: int) -> list:
         return pool.starmap(fn, plans)
 
 
-def _convergent_fraction(spec, samples, schedule, seed, threshold: float) -> float:
+def _convergent_fraction(spec, samples, schedule, seed) -> float:
     try:
-        series = run_ensemble(spec, samples, schedule, seed=seed, threshold=threshold)
+        series = run_ensemble(spec, samples, schedule, seed=seed)
     except DivergenceError:
         return 0.0
     return 1.0 - series.divergence_fraction

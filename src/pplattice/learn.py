@@ -18,13 +18,13 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .dynamics import (DEFAULT_THRESHOLD, RelaxedStart, Schedule, relax_ensemble,
-                       run_ensemble, _check_workers, _pool_starmap, _seed_base)
+from .dynamics import (RelaxedStart, Schedule, relax_ensemble, run_ensemble,
+                       _check_workers, _pool_starmap, _seed_base)
 from .errors import ConfigError, DivergenceError
 from .model import ReservoirSpec, load_yaml
 from .observables import FeatureRecord, csv_text, feature_vector, steady_occupations
@@ -77,8 +77,6 @@ def _is_count(value) -> bool:
 
 CLASSIFY_HYPERPARAMS = Hyperparams(learning_rate=5e-4, epochs=10_000, batch_size=None)
 REGRESS_HYPERPARAMS = Hyperparams(learning_rate=5e-4, epochs=25_000, batch_size=150)
-FULL_TRAIN_PER_CLASS = 200
-FULL_TEST_PER_CLASS = 50
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -502,11 +500,10 @@ def _draw_state(task: str, label: str, rng: np.random.Generator) -> tuple[StateS
 
 def _one_record(spec: ReservoirSpec, schedule: Schedule, relaxed: RelaxedStart,
                 state: StateSpec, label: str, target, trajectories: int, sample_seed,
-                run_seed, threshold: float) -> FeatureRecord:
+                run_seed) -> FeatureRecord:
     samples = sample_state(state, trajectories, seed=sample_seed)
     try:
-        series = run_ensemble(spec, samples, schedule, seed=run_seed,
-                              threshold=threshold, relaxed=relaxed)
+        series = run_ensemble(spec, samples, schedule, seed=run_seed, relaxed=relaxed)
     except DivergenceError:
         return FeatureRecord(features=np.zeros(spec.n_modes), label=label,
                              state=state, target=target,
@@ -522,8 +519,7 @@ def _one_record(spec: ReservoirSpec, schedule: Schedule, relaxed: RelaxedStart,
 
 def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
                      train_count: int, test_count: int, trajectories: int,
-                     seed=None, threshold: float = DEFAULT_THRESHOLD,
-                     workers: int = 1) -> Dataset:
+                     seed=None, workers: int = 1) -> Dataset:
     """Sample input states, run the reservoir, and assemble feature records.
 
     For classification train_count/test_count are per class.  The relaxation
@@ -539,8 +535,7 @@ def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
     if train_count < 1 or test_count < 0:
         raise ConfigError("need at least one training record and test_count >= 0")
     base = _seed_base(seed)
-    relaxed = relax_ensemble(spec, schedule, trajectories, seed=base + (3,),
-                             threshold=threshold)
+    relaxed = relax_ensemble(spec, schedule, trajectories, seed=base + (3,))
     labels = CLASS_NAMES if task == "classify" else ("squeezed_vacuum",)
     per_label = train_count + test_count
     plans = []
@@ -552,7 +547,7 @@ def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
             state, target = _draw_state(task, label, param_rng)
             (train_idx if i < train_count else test_idx).append(len(plans))
             plans.append((spec, schedule, relaxed, state, label, target, trajectories,
-                          base + (1, c, i), base + (2, c, i), threshold))
+                          base + (1, c, i), base + (2, c, i)))
     records = _pool_starmap(_one_record, plans, workers)
     return Dataset(task=task, records=tuple(records),
                    train_indices=tuple(train_idx), test_indices=tuple(test_idx),

@@ -12,13 +12,14 @@ occupation above its driven steady value,
 
     n_i = integral_T <n_i(t)> dt - <n_i^steady> * T,
 
-with the steady value estimated over a late window of the relaxation phase.
+with the steady value averaged over the last third of the relaxation phase
+and T running from the injection time to the last recorded time.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +56,7 @@ class OccupationSeries:
     """Mean occupation per node over recorded times.
 
     injection_time marks the start of the cascade phase (None when the run
-    had no schedule split); source_occupation is the ensemble's mean source
-    occupation (not part of the CSV schema).
+    had no schedule split); the steady baseline and the features need it.
     """
 
     times: np.ndarray                 # (T,)
@@ -65,7 +65,6 @@ class OccupationSeries:
     divergence_fraction: float
     n_trajectories: int
     injection_time: float | None = None
-    source_occupation: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         t = self.times.shape[0]
@@ -133,8 +132,6 @@ def _is_float(cell: str) -> bool:
 
 
 def _window_rows(series: OccupationSeries, t_lo: float, t_hi: float) -> np.ndarray:
-    if t_hi < t_lo:
-        raise ConfigError(f"empty window ({t_lo}, {t_hi})")
     eps = 1e-9 * max(1.0, abs(t_hi))
     mask = (series.times >= t_lo - eps) & (series.times <= t_hi + eps)
     if not mask.any():
@@ -142,45 +139,28 @@ def _window_rows(series: OccupationSeries, t_lo: float, t_hi: float) -> np.ndarr
     return mask
 
 
-def steady_occupations(series: OccupationSeries, window: tuple[float, float] | None = None) -> np.ndarray:
-    """Average occupation per node over a late relaxation-phase window.
-
-    Defaults to the last third of the relaxation phase.  The window must end
-    by the injection time: the steady baseline is only meaningful before the
-    source opens.
-    """
-    if window is None:
-        if series.injection_time is None:
-            raise ConfigError("series has no injection time; pass an explicit window")
-        window = (2.0 * series.injection_time / 3.0, series.injection_time)
-    t_lo, t_hi = float(window[0]), float(window[1])
-    if series.injection_time is not None and t_hi > series.injection_time + 1e-9:
-        raise ConfigError(
-            f"steady window ({t_lo}, {t_hi}) extends past injection at t={series.injection_time}")
-    mask = _window_rows(series, t_lo, t_hi)
-    return series.mean[mask].mean(axis=0)
+def _injection_time(series: OccupationSeries) -> float:
+    if series.injection_time is None:
+        raise ConfigError("series has no injection time")
+    return float(series.injection_time)
 
 
-def feature_vector(series: OccupationSeries, steady: np.ndarray,
-                   window: tuple[float, float] | None = None) -> np.ndarray:
-    """Integrated occupation deviation per node over the injection phase.
+def steady_occupations(series: OccupationSeries) -> np.ndarray:
+    """Average occupation per node over the last third of the relaxation
+    phase, [2/3, 1] of the injection time: the steady baseline before the
+    source opens."""
+    t_inj = _injection_time(series)
+    return series.mean[_window_rows(series, 2.0 * t_inj / 3.0, t_inj)].mean(axis=0)
 
-    Trapezoidal integral of mean(t) over the window minus steady * window
-    length.  Defaults to the full phase after injection_time.
-    """
+
+def feature_vector(series: OccupationSeries, steady: np.ndarray) -> np.ndarray:
+    """Integrated occupation deviation per node over the injection phase: the
+    trapezoidal integral of mean(t) - steady from injection to the last time."""
     steady = np.asarray(steady, dtype=float)
     if steady.shape != (series.n_modes,):
         raise ConfigError(
             f"steady vector has shape {steady.shape}, expected ({series.n_modes},)")
-    if window is None:
-        if series.injection_time is None:
-            raise ConfigError("series has no injection time; pass an explicit window")
-        window = (series.injection_time, float(series.times[-1]))
-    t_lo, t_hi = float(window[0]), float(window[1])
-    if series.injection_time is not None and t_lo < series.injection_time - 1e-9:
-        raise ConfigError(
-            f"feature window ({t_lo}, {t_hi}) starts before injection at t={series.injection_time}")
-    mask = _window_rows(series, t_lo, t_hi)
+    mask = _window_rows(series, _injection_time(series), float(series.times[-1]))
     t = series.times[mask]
     if t.shape[0] < 2:
         raise ConfigError("feature window needs at least two recorded times")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
+from pplattice import dynamics
 from pplattice.cli import build_parser, main
 from pplattice.learn import load_dataset
 from pplattice.model import load_reservoir
@@ -200,31 +201,17 @@ def test_simulate_csv_has_divergence_footer(tmp_path, capsys):
     assert data.shape[0] == 11
 
 
-def test_simulate_tiny_threshold_exits_3(tmp_path, capsys):
+def test_simulate_tiny_threshold_exits_3(tmp_path, capsys, monkeypatch):
     reservoir, samples = simulate_setup(tmp_path, capsys)
+    monkeypatch.setattr(dynamics, "DIVERGENCE_THRESHOLD", 1e-12)
     code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "x"), "--seed", "2",
-                           "simulate", "--reservoir", reservoir,
-                           "--samples", samples, "--threshold", "1e-12",
+                           "simulate", "--reservoir", reservoir, "--samples", samples,
                            "--t-relax", "1.0", "--t-final", "1.0",
                            "--dt", "0.05", "--stride", "4")
     assert code == 3
     record = json.loads(err)
     assert record["error"] == "DivergenceError"
     assert record["exit_code"] == 3
-
-
-@pytest.mark.parametrize("threshold", ["nan", "-1", "0"])
-def test_simulate_bad_threshold_exits_2(tmp_path, capsys, threshold):
-    reservoir, samples = simulate_setup(tmp_path, capsys)
-    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "x"), "--seed", "2",
-                           "simulate", "--reservoir", reservoir,
-                           "--samples", samples, "--threshold", threshold,
-                           "--t-relax", "1.0", "--t-final", "1.0")
-    assert code == 2
-    record = json.loads(err)
-    assert record["error"] == "ConfigError"
-    assert "threshold" in record["message"]
-    assert not (tmp_path / "x" / "occupations.csv").exists()
 
 
 def test_simulate_bad_stride_exits_2(tmp_path, capsys):
@@ -480,6 +467,8 @@ def test_pipeline_regression_micro_run_writes_metrics(tmp_path, capsys):
     errors = (tmp_path / "squared_errors.csv").read_text().splitlines()
     assert errors[0] == "target_re,target_im,predicted_re,predicted_im,squared_error"
     assert len(errors) == 3
+    manifest = yaml.safe_load((tmp_path / "pipeline.manifest.yaml").read_text())
+    assert manifest["seeds"]["runs"] == [1004]      # the one readout's seed
 
 
 def test_pipeline_unknown_task_exits_2(tmp_path, capsys):
@@ -626,6 +615,10 @@ SCAN = {"f": {"start": 0.0, "stop": 2.0, "count": 3},
     ("stability-scan", {**SCAN, "f": {"start": 0.0, "stop": 2.0, "count": "two"}}, "f.count"),
     ("stability-scan", {**SCAN, "trajectories": 2.5}, "trajectories"),
     ("stability-scan", {**SCAN, "fixed": {"loss": "one"}}, "fixed.loss"),
+    # one readout is trained, so more runs would only list unused seeds
+    ("pipeline", {**MICRO_CLASSIFY, "task": "predict_squeezing", "runs": 5}, "runs"),
+    # the divergence cutoff is fixed: a config that sets it is refused, not ignored
+    ("stability-scan", {**SCAN, "threshold": 1.0e10}, "threshold"),
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, config, key):
     path = write_yaml(tmp_path / "config.yaml", config)

@@ -85,8 +85,7 @@ def test_noise_scaling():
     spec = build_single_mode(drive=0.0, kerr=kerr, loss=1.0)
     schedule = Schedule(t_relax=tau, t_final=0.0, dt=tau)
     run = _BlockRun(spec, schedule, np.ones((2, count, 1)), np.ones((2, count)),
-                    _trajectory_generators((0,), 0, count), threshold=1e10,
-                    keep_amplitudes=True).run()
+                    _trajectory_generators((0,), 0, count), keep_amplitudes=True).run()
     draws = ((np.log(run.amp[0, :, -1, 0]) + tau / 2.0) * np.exp(0.25j * math.pi)
              / math.sqrt(kerr * tau)).real
     assert abs(draws.var() - 1.0) < 0.03
@@ -195,8 +194,7 @@ def test_trajectory_is_bitwise_equal_to_its_row_in_a_full_block():
     samples = sample_state(cat_state(1.25), count, seed=3)
     pair0 = np.zeros((2, count, spec.n_modes), dtype=complex)
     block = _BlockRun(spec, schedule, pair0, np.stack([samples.alpha, samples.alpha_tilde]),
-                      _trajectory_generators((6,), 0, count), threshold=1e10,
-                      keep_amplitudes=True).run()
+                      _trajectory_generators((6,), 0, count), keep_amplitudes=True).run()
     for i in (0, 1, 257, count - 1):
         record = evolve_trajectory(
             PhaseSamplePair(alpha=pair0[0, i], alpha_tilde=pair0[1, i],
@@ -223,7 +221,9 @@ def slab_outputs(monkeypatch, steps):
 
     budget(dynamics.BLOCK_TRAJECTORIES)
     relaxed = relax_ensemble(spec, schedule, count, seed=(5,))
-    resumed = run_ensemble(spec, samples, schedule, seed=(6,), relaxed=relaxed, threshold=5.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "DIVERGENCE_THRESHOLD", 5.0)
+        resumed = run_ensemble(spec, samples, schedule, seed=(6,), relaxed=relaxed)
     budget(1)
     record = evolve_trajectory(
         PhaseSamplePair(alpha=relaxed.alpha[7], alpha_tilde=relaxed.alpha_tilde[7],
@@ -233,8 +233,7 @@ def slab_outputs(monkeypatch, steps):
     monkeypatch.undo()
     assert 0 < resumed.divergence_fraction < 0.5
     return [relaxed.alpha, relaxed.alpha_tilde, relaxed.alive, relaxed.series.mean,
-            relaxed.series.stderr, relaxed.series.source_occupation,
-            resumed.mean, resumed.stderr, resumed.source_occupation,
+            relaxed.series.stderr, resumed.mean, resumed.stderr,
             [resumed.divergence_fraction], record.alpha, record.alpha_tilde, record.source]
 
 
@@ -258,7 +257,6 @@ def test_block_reduction_matches_two_pass_reference_at_large_mean():
     runs, lo = [], 0
     for size in sizes:
         runs.append(SimpleNamespace(occupations=values[lo:lo + size],
-                                    source_occupations=values[lo:lo + size, :, 0],
                                     alive=alive[lo:lo + size]))
         lo += size
     series = _ensemble_series(runs, np.arange(3.0), sum(sizes), 0.0)
@@ -270,7 +268,6 @@ def test_block_reduction_matches_two_pass_reference_at_large_mean():
                      for j in range(2)] for t in range(3)])
     assert np.allclose(series.mean, mean, rtol=1e-12, atol=0)
     assert np.allclose(series.stderr, np.sqrt(var / count), rtol=1e-12, atol=0)
-    assert np.allclose(series.source_occupation, mean[:, 0], rtol=1e-12, atol=0)
     assert series.divergence_fraction == (sum(sizes) - count) / sum(sizes)
 
 
@@ -362,7 +359,7 @@ def test_vacuum_relaxed_start_is_bit_identical_to_plain_run():
                          alive=np.ones(count, dtype=bool), series=None)
     plain = run_ensemble(spec, samples, schedule, seed=(9, 2))
     resumed = run_ensemble(spec, samples, schedule, seed=(9, 2), relaxed=start)
-    for name in ("times", "mean", "stderr", "source_occupation"):
+    for name in ("times", "mean", "stderr"):
         assert np.array_equal(getattr(resumed, name), getattr(plain, name))
     assert resumed.divergence_fraction == plain.divergence_fraction
     assert resumed.injection_time == plain.injection_time == 0.0
@@ -425,10 +422,11 @@ def test_trajectories_lost_while_relaxing_count_as_diverged():
         run_ensemble(spec, sample_coherent(0.5, 9), schedule, seed=3, relaxed=relaxed)
 
 
-def test_relaxation_without_survivors_has_no_series():
+def test_relaxation_without_survivors_has_no_series(monkeypatch):
+    monkeypatch.setattr(dynamics, "DIVERGENCE_THRESHOLD", 1e-6)
     spec = build_single_mode(drive=1.0, kerr=0.0, loss=1.0)
     schedule = Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=4)
-    relaxed = relax_ensemble(spec, schedule, 10, seed=0, threshold=1e-6)
+    relaxed = relax_ensemble(spec, schedule, 10, seed=0)
     assert relaxed.series is None
     assert not relaxed.alive.any()
     assert np.all(relaxed.alpha == 0) and np.all(relaxed.alpha_tilde == 0)
@@ -446,22 +444,24 @@ def test_nan_state_is_flagged_divergent():
     assert record.diverged_at is not None
 
 
-def test_amplitude_over_threshold_is_flagged_divergent():
+def test_amplitude_over_threshold_is_flagged_divergent(monkeypatch):
     spec = build_single_mode(drive=0.0, kerr=0.0, loss=1.0)
     schedule = Schedule(t_relax=1.0, t_final=0.0, dt=0.05, record_stride=4)
     threshold = 10.0
+    monkeypatch.setattr(dynamics, "DIVERGENCE_THRESHOLD", threshold)
     amp = math.sqrt(threshold)  # |a|^2 + |at|^2 = 2 * threshold
     record = evolve_trajectory(
         PhaseSamplePair(alpha=np.array([amp + 0j]), alpha_tilde=np.array([amp + 0j])),
-        spec, schedule, seed=0, threshold=threshold)
+        spec, schedule, seed=0)
     assert record.diverged
 
 
-def test_all_divergent_ensemble_raises():
+def test_all_divergent_ensemble_raises(monkeypatch):
+    monkeypatch.setattr(dynamics, "DIVERGENCE_THRESHOLD", 1e-6)
     spec = build_single_mode(drive=1.0, kerr=0.0, loss=1.0)
     schedule = Schedule(t_relax=2.0, t_final=0.0, dt=0.05, record_stride=8)
     with pytest.raises(DivergenceError):
-        run_ensemble(spec, vacuum_samples(10), schedule, seed=0, threshold=1e-6)
+        run_ensemble(spec, vacuum_samples(10), schedule, seed=0)
 
 
 def test_empty_ensemble_is_a_configuration_error():
@@ -475,29 +475,11 @@ def test_empty_ensemble_is_a_configuration_error():
         relax_ensemble(spec, schedule, 0, seed=0)
 
 
-@pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0])
-def test_bad_threshold_is_refused_before_integrating(monkeypatch, threshold):
-    def never(self):
-        raise AssertionError("integrated with a refused threshold")
-    monkeypatch.setattr(_BlockRun, "run", never)
-    spec = build_single_mode(drive=1.0, kerr=0.0, loss=1.0)
-    schedule = Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=4)
-    start = PhaseSamplePair(alpha=np.zeros(1, complex), alpha_tilde=np.zeros(1, complex))
-    calls = [lambda: evolve_trajectory(start, spec, schedule, seed=0, threshold=threshold),
-             lambda: relax_ensemble(spec, schedule, 4, seed=0, threshold=threshold),
-             lambda: run_ensemble(spec, vacuum_samples(4), schedule, seed=0,
-                                  threshold=threshold),
-             lambda: stability_scan(np.array([1.0]), kerr_values=np.array([0.1]),
-                                    trajectories=4, horizon=1.0, threshold=threshold)]
-    for call in calls:
-        with pytest.raises(ConfigError, match="threshold must be positive"):
-            call()
-
-
-def test_infinite_threshold_keeps_every_trajectory():
+def test_infinite_threshold_keeps_every_trajectory(monkeypatch):
+    monkeypatch.setattr(dynamics, "DIVERGENCE_THRESHOLD", math.inf)
     spec = build_single_mode(drive=1.0, kerr=0.1, loss=1.0)
     schedule = Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=4)
-    series = run_ensemble(spec, vacuum_samples(8), schedule, seed=0, threshold=math.inf)
+    series = run_ensemble(spec, vacuum_samples(8), schedule, seed=0)
     assert series.divergence_fraction == 0.0
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pplattice import learn
+from pplattice import dynamics, learn
 from pplattice.dynamics import Schedule
 from pplattice.errors import ConfigError, DivergenceError
 from pplattice.learn import (BASELINE_PAIR_CONFUSED_ACCURACY, BASELINE_UNIFORM_ACCURACY,
@@ -390,10 +390,10 @@ def test_regression_targets_encode_the_squeezing(small_reservoir, small_schedule
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_all_divergent_records_are_flagged(small_reservoir, small_schedule):
+def test_all_divergent_records_are_flagged(monkeypatch, small_reservoir, small_schedule):
+    monkeypatch.setattr(dynamics, "DIVERGENCE_THRESHOLD", 1e-12)
     dataset = generate_dataset("classify", small_reservoir, small_schedule,
-                               train_count=1, test_count=0, trajectories=5,
-                               seed=3, threshold=1e-12)
+                               train_count=1, test_count=0, trajectories=5, seed=3)
     for record in dataset.records:
         assert record.flagged
         assert record.divergence_fraction == 1.0

@@ -42,9 +42,10 @@ def test_steady_occupation_of_constant_series():
 
 
 def test_steady_window_of_one_sample_equals_that_sample():
-    times = np.array([0.0, 1.0, 2.0])
-    series = synthetic_series(times, np.array([1.0, 2.0, 7.0]))
-    assert steady_occupations(series, window=(2.0, 2.0))[0] == 7.0
+    # the last relaxation third, [4/3, 2], holds only t = 2
+    times = np.array([0.0, 1.0, 2.0, 3.0])
+    series = synthetic_series(times, np.array([1.0, 2.0, 7.0, 9.0]), injection_time=2.0)
+    assert steady_occupations(series)[0] == 7.0
 
 
 def test_driven_linear_mode_reaches_analytic_steady_state():
@@ -143,17 +144,21 @@ def test_csv_round_trip(tmp_path):
 def test_window_validation():
     times = np.arange(0, 21) * 0.5
     series = synthetic_series(times, np.ones(21), injection_time=5.0)
-    with pytest.raises(ConfigError):
-        steady_occupations(series, window=(4.0, 6.0))   # reaches past injection
-    with pytest.raises(ConfigError):
-        feature_vector(series, np.array([1.0]), window=(4.0, 10.0))
-    with pytest.raises(ConfigError):
-        feature_vector(series, np.array([1.0]), window=(9.9, 10.0))  # one sample
+    with pytest.raises(ConfigError, match="two recorded times"):
+        feature_vector(synthetic_series(times, np.ones(21), injection_time=10.0),
+                       np.array([1.0]))                 # injection at the last time
+    with pytest.raises(ConfigError, match="no recorded times"):
+        steady_occupations(synthetic_series(times, np.ones(21), injection_time=0.2))
+    with pytest.raises(ConfigError, match="no recorded times"):
+        feature_vector(synthetic_series(times, np.ones(21), injection_time=10.5),
+                       np.array([1.0]))                 # injection after the last time
     with pytest.raises(ConfigError):
         feature_vector(series, np.array([1.0, 2.0]))    # steady shape mismatch
     bare = synthetic_series(times, np.ones(21))
-    with pytest.raises(ConfigError):
-        steady_occupations(bare)                        # no injection marker
+    for call in (lambda: steady_occupations(bare),
+                 lambda: feature_vector(bare, np.array([1.0]))):
+        with pytest.raises(ConfigError, match="no injection time"):
+            call()                                      # no injection marker
 
 
 def test_feature_record_validation():
