@@ -3,9 +3,9 @@
 The package simulates lossy bosonic lattices with on-site Kerr nonlinearity
 in the positive-P representation (exact stochastic sampling on a doubled
 phase space), injects nonclassical input states through a cascade coupling,
-and trains linear readouts on the resulting occupation features.  A dense
-Fock-space master-equation solver serves as the exact cross-check for small
-systems.
+and trains linear readouts on the resulting occupation features.  A
+matrix-free Taylor propagator of the Fock-space master equation serves as
+the exact cross-check for small systems.
 """
 
 from .errors import (PPLatticeError, ConfigError, NumericsError,
@@ -22,14 +22,12 @@ from .dynamics import (Schedule, PhaseSamplePair, TrajectoryRecord,
                        StabilityScan, build_single_mode, evolve_trajectory,
                        run_ensemble, stability_scan)
 from .observables import (OccupationSeries, FeatureRecord, occupation,
-                          series_from_csv, steady_occupations, feature_vector)
+                          steady_occupations, feature_vector)
 from .oracle import (FockDensityMatrix, MasterSeries, WignerGrid, destroy,
                      number_op, vacuum_density, build_state_fock,
                      expect_occupation, evolve_master, wigner_grid)
 from .learn import (Hyperparams, ReadoutModel, Dataset, TrainingCurves,
                     Metrics, softmax, cross_entropy, train_classifier,
-                    train_regressor, evaluate, generate_dataset,
-                    dataset_from_csv, load_dataset, load_model,
-                    CLASS_NAMES)
+                    train_regressor, evaluate, generate_dataset, CLASS_NAMES)
 
 __version__ = "0.1.0"

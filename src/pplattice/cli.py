@@ -24,7 +24,7 @@ import scipy
 import yaml
 
 from . import __version__
-from .dynamics import DIVERGENCE_THRESHOLD, Schedule, run_ensemble, stability_scan
+from .dynamics import Schedule, run_ensemble, stability_scan
 from .errors import ConfigError, NumericsError
 from .learn import (BASELINE_PAIR_CONFUSED_ACCURACY, BASELINE_UNIFORM_ACCURACY,
                     CLASSIFY_HYPERPARAMS, REGRESS_HYPERPARAMS, Hyperparams,
@@ -36,6 +36,15 @@ from .oracle import MAX_DIM, build_state_fock, evolve_master, vacuum_density, wi
 from .sampler import StateSpec, load_samples, sample_state, vacuum_samples
 
 ORACLE_MAX_MODES = 2
+
+# The keys each config block takes ("" is the top level); any other is refused.
+SCAN_KEYS = {"": {"f", "kerr", "loss", "fixed", "trajectories", "horizon", "dt"},
+             **dict.fromkeys(("f", "kerr", "loss"), {"start", "stop", "count"})}
+PIPELINE_KEYS = {"reservoir": {"file", "modes", "kerr", "drive", "loss", "source_loss", "seed"},
+                 "schedule": {"t_relax", "t_final", "dt", "record_stride"},
+                 "hyperparams": {"learning_rate", "epochs", "batch_size"},
+                 "counts": {"train", "test"}}
+PIPELINE_KEYS[""] = {"task", "seed", "trajectories", "runs", *PIPELINE_KEYS}
 
 
 def _utc_now() -> str:
@@ -84,6 +93,16 @@ def _block(cfg: dict, key: str) -> dict:
         raise ConfigError(f"config block {key!r} must be a mapping, "
                           f"got {type(block).__name__}")
     return block
+
+
+def _check_keys(cfg: dict, allowed: dict, kind: str) -> None:
+    """Refuse the keys that `allowed` does not list for their block, dotted."""
+    for block, keys in allowed.items():
+        sub = _block(cfg, block) if block else cfg
+        unknown = [f"{block}.{key}".lstrip(".") for key in sub if key not in keys]
+        if unknown:
+            raise ConfigError(f"{kind} config does not take {', '.join(map(repr, unknown))}; "
+                              f"{block or 'its top level'} takes {', '.join(sorted(keys))}")
 
 
 def _number(cfg: dict, key: str, default=None, integer: bool = False):
@@ -171,9 +190,9 @@ def cmd_simulate(args) -> None:
 
 def cmd_stability_scan(args) -> None:
     cfg = load_yaml(args.config)
-    if "threshold" in cfg:
-        raise ConfigError("scan config key 'threshold' is not supported: the divergence "
-                          f"cutoff is fixed at {DIVERGENCE_THRESHOLD:g}")
+    # `fixed` holds the parameter that is not scanned
+    other, fixed = ("kerr", "loss") if "kerr" in cfg else ("loss", "kerr")
+    _check_keys(cfg, {**SCAN_KEYS, "fixed": {fixed}}, "stability-scan")
     axes = {name: np.linspace(_number(cfg, f"{name}.start"), _number(cfg, f"{name}.stop"),
                               _number(cfg, f"{name}.count", integer=True))
             for name in ("f", "kerr", "loss") if name in cfg}
@@ -181,13 +200,9 @@ def cmd_stability_scan(args) -> None:
         raise ConfigError("scan config needs an 'f' axis plus exactly one of 'kerr'/'loss'")
     kwargs = dict(trajectories=_number(cfg, "trajectories", 500, integer=True),
                   horizon=_number(cfg, "horizon", 25.0), dt=_number(cfg, "dt", 0.05),
-                  seed=args.seed, workers=args.workers)
-    if "kerr" in axes:
-        kwargs["kerr_values"] = axes["kerr"]
-        kwargs["loss"] = _number(cfg, "fixed.loss", 1.0)
-    else:
-        kwargs["loss_values"] = axes["loss"]
-        kwargs["kerr"] = _number(cfg, "fixed.kerr", 0.1)
+                  seed=args.seed, workers=args.workers, **{f"{other}_values": axes[other]})
+    if fixed in _block(cfg, "fixed"):          # else stability_scan's default
+        kwargs[fixed] = _number(cfg, f"fixed.{fixed}")
     manifest = RunManifest("stability-scan", args.out_dir, config=cfg,
                            seeds={"scan": args.seed})
     scan = stability_scan(axes["f"], **kwargs)
@@ -326,7 +341,13 @@ def cmd_pipeline(args) -> None:
     if task not in ("classify", "predict_squeezing", "classify_sweep"):
         raise ConfigError(f"pipeline task must be classify, predict_squeezing, "
                           f"or classify_sweep; got {task!r}")
-    regress = task == "predict_squeezing"
+    regress, sweep = task == "predict_squeezing", task == "classify_sweep"
+    res_cfg = _block(cfg, "reservoir")
+    keys = {**PIPELINE_KEYS, "reservoir": {"file"}} if "file" in res_cfg else PIPELINE_KEYS
+    if sweep:                       # each size draws its own reservoir: no file, no modes
+        keys = {**keys, "": keys[""] | {"sweep_modes"},
+                "reservoir": PIPELINE_KEYS["reservoir"] - {"file", "modes"}}
+    _check_keys(cfg, keys, task)
     base_seed = _number(cfg, "seed", 0 if args.seed is None else args.seed, integer=True)
     train_count = _number(cfg, "counts.train", 60, integer=True)
     test_count = _number(cfg, "counts.test", 15, integer=True)
@@ -351,11 +372,7 @@ def cmd_pipeline(args) -> None:
         batch_size=_block(cfg, "hyperparams").get("batch_size", defaults.batch_size),
         seed=run_seeds[0])
     # (dataset file, run-tag prefix, dataset seed, reservoir) for each size
-    res_cfg = _block(cfg, "reservoir")
-    if task == "classify_sweep":
-        if "file" in res_cfg:
-            raise ConfigError("a classify_sweep draws one reservoir per size; "
-                              "reservoir.file is not allowed")
+    if sweep:
         modes = cfg.get("sweep_modes", [2, 3, 4, 5, 6, 7])
         if not (isinstance(modes, list) and modes and all(type(n) is int for n in modes)):
             raise ConfigError(f"sweep_modes must be a non-empty list of integers, "
@@ -386,7 +403,7 @@ def cmd_pipeline(args) -> None:
                            mean_accuracy=float(np.mean(accuracies)))
         summaries.append(summary)
 
-    if task == "classify_sweep":
+    if sweep:
         metrics = {"task": task, "sizes": summaries}
         manifest.output("accuracy_vs_n.csv").write_text(csv_text(
             ["n_modes", "run", "accuracy"],

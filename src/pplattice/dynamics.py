@@ -452,10 +452,6 @@ class StabilityScan:
     other_name: str               # "kerr" or "loss"
     other_values: np.ndarray
     fraction: np.ndarray          # (len(other_values), len(f_values))
-    trajectories: int
-    horizon: float
-    dt: float
-    fixed: dict
 
     def to_csv(self) -> str:
         return csv_text(["f", self.other_name, "convergent_fraction"],
@@ -495,9 +491,7 @@ def stability_scan(f_values, *, kerr_values=None, loss_values=None,
     fractions = _pool_starmap(_convergent_fraction, plans, workers)
     return StabilityScan(
         f_values=f_values, other_name="kerr" if scanning_kerr else "loss",
-        other_values=other, fraction=np.array(fractions).reshape(other.size, -1),
-        trajectories=trajectories, horizon=horizon, dt=dt,
-        fixed={"loss": loss} if scanning_kerr else {"kerr": kerr})
+        other_values=other, fraction=np.array(fractions).reshape(other.size, -1))
 
 
 def _check_workers(workers) -> None:

@@ -26,7 +26,7 @@ import yaml
 from .dynamics import (RelaxedStart, Schedule, relax_ensemble, run_ensemble,
                        _check_workers, _pool_starmap, _seed_base)
 from .errors import ConfigError, DivergenceError
-from .model import ReservoirSpec, load_yaml
+from .model import ReservoirSpec
 from .observables import FeatureRecord, csv_text, feature_vector, steady_occupations
 from .sampler import StateSpec, sample_state
 
@@ -156,34 +156,15 @@ class ReadoutModel:
         out = self.logits(features)
         return out[..., 0] + 1j * out[..., 1]
 
-    def to_dict(self) -> dict:
-        return {
+    def dumps(self) -> str:
+        return yaml.safe_dump({
             "kind": self.kind,
             "classes": list(self.classes),
             "weights": [[float(v) for v in row] for row in self.weights],
             "bias": [float(v) for v in self.bias],
             "feature_mean": [float(v) for v in self.feature_mean],
             "feature_std": [float(v) for v in self.feature_std],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReadoutModel":
-        try:
-            return cls(kind=data["kind"],
-                       weights=np.asarray(data["weights"], dtype=float),
-                       bias=np.asarray(data["bias"], dtype=float),
-                       feature_mean=np.asarray(data["feature_mean"], dtype=float),
-                       feature_std=np.asarray(data["feature_std"], dtype=float),
-                       classes=tuple(data.get("classes", ())))
-        except KeyError as exc:
-            raise ConfigError(f"model artifact missing field {exc}") from None
-
-    def dumps(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=True, default_flow_style=None)
-
-
-def load_model(path) -> ReadoutModel:
-    return ReadoutModel.from_dict(load_yaml(path))
+        }, sort_keys=True, default_flow_style=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,45 +258,6 @@ class Dataset:
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_csv().encode()).hexdigest()
-
-
-def dataset_from_csv(text: str) -> Dataset:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("#task,"):
-        raise ConfigError("dataset CSV must start with a '#task' line")
-    head = lines[0].split(",")
-    task = head[1]
-    classes = tuple(c for c in head[2:] if c)
-    cols = lines[1].split(",")
-    n_feat = sum(1 for c in cols if c.startswith("f") and c[1:].isdigit())
-    records = []
-    train_idx, test_idx = [], []
-    for ln in lines[2:]:
-        cells = ln.split(",")
-        if len(cells) != len(cols):
-            raise ConfigError(f"dataset row has {len(cells)} cells, expected {len(cols)}")
-        split, label = cells[0], cells[1]
-        target = complex(float(cells[2]), float(cells[3]))
-        state = StateSpec(kind=cells[6], beta=complex(float(cells[7]), float(cells[8])),
-                          nbar=float(cells[9]), r=float(cells[10]),
-                          theta=float(cells[11]), cat_phase=float(cells[12]))
-        features = np.array([float(v) for v in cells[13:13 + n_feat]])
-        rec = FeatureRecord(features=features, label=label, state=state,
-                            target=None if np.isnan(target.real) else target,
-                            divergence_fraction=float(cells[4]),
-                            flagged=bool(int(cells[5])))
-        if split == "train":
-            train_idx.append(len(records))
-        elif split == "test":
-            test_idx.append(len(records))
-        records.append(rec)
-    return Dataset(task=task, records=tuple(records), train_indices=tuple(train_idx),
-                   test_indices=tuple(test_idx), classes=classes)
-
-
-def load_dataset(path) -> Dataset:
-    with open(path) as fh:
-        return dataset_from_csv(fh.read())
 
 
 @dataclass(frozen=True, eq=False)

@@ -174,11 +174,11 @@ class ReservoirSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReservoirSpec":
-        try:
-            if data.get("format", RESERVOIR_FORMAT) != RESERVOIR_FORMAT:
-                raise ConfigError(f"unknown reservoir format {data['format']!r}")
+        if data.get("format", RESERVOIR_FORMAT) != RESERVOIR_FORMAT:
+            raise ConfigError(f"unknown reservoir format {data['format']!r}")
+        try:       # a value of the wrong type or shape, or a missing key
             drive = np.array([complex(re, im) for re, im in data["drive"]], dtype=complex)
-            return cls(
+            fields = dict(
                 rows=int(data["rows"]),
                 cols=int(data["cols"]),
                 edges=tuple((int(i), int(j)) for i, j in data["edges"]),
@@ -192,8 +192,9 @@ class ReservoirSpec:
                 eta=float(data["eta"]),
                 seed=None if data.get("seed") is None else int(data["seed"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed reservoir dictionary: {exc}") from exc
+        return cls(**fields)
 
     def dumps(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=True, default_flow_style=None)

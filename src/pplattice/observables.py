@@ -55,8 +55,9 @@ def occupation(alpha, alpha_tilde):
 class OccupationSeries:
     """Mean occupation per node over recorded times.
 
-    injection_time marks the start of the cascade phase (None when the run
-    had no schedule split); the steady baseline and the features need it.
+    injection_time marks the start of the cascade phase (every ensemble sets
+    it, to 0 when there is no relaxation); the steady baseline and the
+    features need it.
     """
 
     times: np.ndarray                 # (T,)
@@ -95,40 +96,6 @@ class OccupationSeries:
                  ["n_trajectories", self.n_trajectories, *pad],
                  ["injection_time", inj, *pad]]
         return csv_text(header, rows)
-
-
-def series_from_csv(text: str, origin: str = "<csv>") -> OccupationSeries:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("time,"):
-        raise ConfigError(f"{origin}: not an occupation series CSV")
-    n = (len(lines[0].split(",")) - 1) // 2
-    rows, footers = [], {}
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if cells[0] and not _is_float(cells[0]):
-            footers[cells[0]] = cells[1] if len(cells) > 1 else ""
-        else:
-            rows.append([float(c) for c in cells[:1 + 2 * n]])
-    data = np.array(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 1 + 2 * n:
-        raise ConfigError(f"{origin}: malformed data rows")
-    inj = footers.get("injection_time", "")
-    return OccupationSeries(
-        times=data[:, 0],
-        mean=data[:, 1::2],
-        stderr=data[:, 2::2],
-        divergence_fraction=float(footers.get("divergence_fraction", 0.0)),
-        n_trajectories=int(footers.get("n_trajectories", 0) or 0),
-        injection_time=float(inj) if inj else None,
-    )
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def _window_rows(series: OccupationSeries, t_lo: float, t_hi: float) -> np.ndarray:

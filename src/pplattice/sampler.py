@@ -70,6 +70,8 @@ class StateSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StateSpec":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a state must be a mapping, got {data!r}")
         d = dict(data)
         beta = d.get("beta", 0j)
         try:

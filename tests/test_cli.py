@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 import yaml
 
-from pplattice import dynamics
+from pplattice import cli, dynamics
 from pplattice.cli import build_parser, main
-from pplattice.learn import load_dataset
 from pplattice.model import load_reservoir
 from pplattice.sampler import PhaseSampleSet, load_samples, mean_occupation
 
@@ -236,11 +235,20 @@ def test_simulate_non_finite_duration_exits_2(tmp_path, capsys):
     assert "t_relax" in record["message"]
 
 
-@pytest.mark.parametrize("content", [None, "rows: [1, 2\n", "- 1\n- 2\n"],
-                         ids=["missing", "unparsable", "not_a_mapping"])
-def test_simulate_bad_reservoir_file_exits_2(tmp_path, capsys, content):
-    _, samples = simulate_setup(tmp_path, capsys)
+@pytest.mark.parametrize("content, message", [
+    (None, "bad.yaml"), ("rows: [1, 2\n", "bad.yaml"), ("- 1\n- 2\n", "bad.yaml"),
+    # one malformed value in an otherwise valid reservoir
+    ({"rows": "two"}, "malformed reservoir"),
+    ({"drive": [[0.5, 0.0, 1.0], [0.5, 0.0]]}, "malformed reservoir"),
+    ({"kerr": "weak"}, "malformed reservoir"),
+    ({"hopping": [[0.0, 1.0], [1.0]]}, "malformed reservoir"),
+], ids=["missing", "unparsable", "not_a_mapping", "word_rows", "drive_not_a_pair",
+        "word_kerr", "ragged_hopping"])
+def test_simulate_bad_reservoir_file_exits_2(tmp_path, capsys, content, message):
+    good, samples = simulate_setup(tmp_path, capsys)
     reservoir = tmp_path / "bad.yaml"
+    if isinstance(content, dict):
+        content = yaml.safe_dump({**yaml.safe_load(Path(good).read_text()), **content})
     if content is not None:
         reservoir.write_text(content)
     code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "x"), "simulate",
@@ -248,7 +256,8 @@ def test_simulate_bad_reservoir_file_exits_2(tmp_path, capsys, content):
     assert code == 2
     record = json.loads(err)
     assert record["error"] == "ConfigError"
-    assert "bad.yaml" in record["message"]
+    assert message in record["message"]
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_missing_or_empty_samples_exits_2(tmp_path, capsys):
@@ -420,6 +429,8 @@ MICRO_CLASSIFY = {
     "schedule": {"t_relax": 2.0, "t_final": 2.0, "dt": 0.05, "record_stride": 20},
     "hyperparams": {"epochs": 40},
 }
+# a sweep draws one reservoir per size, so its reservoir block names no mode count
+MICRO_SWEEP = {**MICRO_CLASSIFY, "task": "classify_sweep", "reservoir": {"kerr": 0.05}}
 
 
 def test_pipeline_classify_micro_run_is_reproducible(tmp_path, capsys):
@@ -517,10 +528,13 @@ def test_pipeline_classify_sweep_micro_run_pins_each_size(tmp_path, capsys):
     assert metrics["task"] == "classify_sweep"
     assert [s["n_modes"] for s in metrics["sizes"]] == [2, 3]
     for size, accuracies in zip(metrics["sizes"], data[:, 2].reshape(2, 2)):
-        dataset = load_dataset(out_dir / f"dataset_n{size['n_modes']}.csv")
-        assert size["records"] == 9
-        assert size["flagged"] == sum(r.flagged for r in dataset.records)
-        assert size["dataset_hash"] == dataset.content_hash()
+        path = out_dir / f"dataset_n{size['n_modes']}.csv"
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh.readlines()[1:]))    # below the '#task' line
+        assert size["records"] == len(rows) == 9
+        assert size["flagged"] == sum(int(row["flagged"]) for row in rows)
+        # content_hash is the sha256 of the text written to the file
+        assert size["dataset_hash"] == sha256_file(path)
         assert size["accuracies"] == list(accuracies)
 
 
@@ -560,8 +574,9 @@ def test_pipeline_zero_runs_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("task", ["classify", "predict_squeezing", "classify_sweep"])
 def test_pipeline_empty_test_split_exits_2(tmp_path, capsys, task):
     # no test record means no accuracy or MSE: refused before anything is simulated
+    base = MICRO_SWEEP if task == "classify_sweep" else {**MICRO_CLASSIFY, "task": task}
     config = write_yaml(tmp_path / "experiment.yaml", {
-        **MICRO_CLASSIFY, "task": task, "counts": {"train": 2, "test": 0}})
+        **base, "counts": {"train": 2, "test": 0}})
     code, out, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"),
                              "pipeline", "--config", config)
     assert code == 2
@@ -588,8 +603,7 @@ def test_pipeline_fractional_or_boolean_hyperparams_exit_2(tmp_path, capsys, key
 
 @pytest.mark.parametrize("sweep_modes", [[], [2, "three"], [2, 2.5], 4])
 def test_pipeline_bad_sweep_modes_exits_2(tmp_path, capsys, sweep_modes):
-    config = write_yaml(tmp_path / "sweep.yaml", {
-        **MICRO_CLASSIFY, "task": "classify_sweep", "sweep_modes": sweep_modes})
+    config = write_yaml(tmp_path / "sweep.yaml", {**MICRO_SWEEP, "sweep_modes": sweep_modes})
     code, _, err = run_cli(capsys, "--out-dir", str(tmp_path),
                            "pipeline", "--config", config)
     assert code == 2
@@ -617,8 +631,21 @@ SCAN = {"f": {"start": 0.0, "stop": 2.0, "count": 3},
     ("stability-scan", {**SCAN, "fixed": {"loss": "one"}}, "fixed.loss"),
     # one readout is trained, so more runs would only list unused seeds
     ("pipeline", {**MICRO_CLASSIFY, "task": "predict_squeezing", "runs": 5}, "runs"),
-    # the divergence cutoff is fixed: a config that sets it is refused, not ignored
+    # a key that no command reads is refused, not ignored: the divergence cutoff
+    # is fixed, a misspelled key would fall back to its default, and the
+    # parameter on the scanned axis cannot also be held fixed
     ("stability-scan", {**SCAN, "threshold": 1.0e10}, "threshold"),
+    ("stability-scan", {**SCAN, "horizn": 1.0}, "horizn"),
+    ("stability-scan", {**SCAN, "fixed": {"kerr": 0.1}}, "fixed.kerr"),
+    ("stability-scan", {**SCAN, "f": {"start": 0.0, "stop": 2.0, "num": 3}}, "f.num"),
+    ("pipeline", {**MICRO_CLASSIFY, "counts": {"train": 2, "tset": 1}}, "counts.tset"),
+    ("pipeline", {**MICRO_CLASSIFY, "reservoir": {"modes": 2, "kerr": 0.05, "lose": 1.0}},
+     "reservoir.lose"),
+    ("pipeline", {**MICRO_CLASSIFY, "sweep_modes": [2, 3]}, "sweep_modes"),
+    ("pipeline", {**MICRO_SWEEP, "reservoir": {"modes": 2, "kerr": 0.05}}, "reservoir.modes"),
+    # a reservoir file stands for the whole block
+    ("pipeline", {**MICRO_CLASSIFY, "reservoir": {"file": "reservoir.yaml", "kerr": 0.1}},
+     "reservoir.kerr"),
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, config, key):
     path = write_yaml(tmp_path / "config.yaml", config)
@@ -628,6 +655,27 @@ def test_bad_config_number_exits_2(tmp_path, capsys, command, config, key):
     record = json.loads(err)
     assert record["error"] == "ConfigError"
     assert key in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
+
+
+class _Integrating(Exception):
+    """Raised where a command would start integrating."""
+
+
+@pytest.mark.parametrize("preset", sorted(p.name for p in PRESETS.glob("*.yaml")))
+def test_every_preset_passes_its_key_check(tmp_path, monkeypatch, preset):
+    # every config check runs before the first integration, which is cut off
+    def stop(*args, **kwargs):
+        raise _Integrating
+    monkeypatch.setattr(cli, "generate_dataset", stop)
+    monkeypatch.setattr(cli, "stability_scan", stop)
+    path = PRESETS / preset
+    command = "pipeline" if "task" in yaml.safe_load(path.read_text()) else "stability-scan"
+    with pytest.raises(_Integrating):
+        main(["--out-dir", str(tmp_path / "out"), command, "--config", str(path)])
     assert not (tmp_path / "out").exists()
 
 

@@ -511,7 +511,6 @@ def test_stability_scan_zero_kerr_row_is_fully_stable():
     assert scan.other_name == "kerr"
     assert np.all(scan.fraction[0] == 1.0)          # U = 0 row
     assert scan.fraction[1, -1] < 1.0               # high-U, high-F corner
-    assert scan.fixed == {"loss": 1.0}
     lines = scan.to_csv().strip().split("\n")
     assert lines[0] == "f,kerr,convergent_fraction"
     assert len(lines) == 1 + 3 * 2
@@ -531,7 +530,6 @@ def test_stability_scan_loss_axis():
     scan = stability_scan(np.array([0.0, 1.0]), loss_values=np.array([0.5, 1.0]),
                           trajectories=20, horizon=5.0, dt=0.05, seed=3, kerr=0.0)
     assert scan.other_name == "loss"
-    assert scan.fixed == {"kerr": 0.0}
     assert np.all(scan.fraction == 1.0)
 
 

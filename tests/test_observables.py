@@ -10,8 +10,8 @@ from pplattice.errors import ConfigError
 from pplattice.learn import CLASS_NAMES, Dataset, Metrics, TrainingCurves
 from pplattice.model import build_reservoir, shape_for_modes
 from pplattice.observables import (FeatureRecord, OccupationSeries, csv_text,
-                                   feature_vector, occupation, series_from_csv,
-                                   steady_occupations, trapezoid)
+                                   feature_vector, occupation, steady_occupations,
+                                   trapezoid)
 from pplattice.oracle import WignerGrid
 from pplattice.sampler import cat_state, coherent_state, squeezed_state, vacuum_samples
 
@@ -123,24 +123,6 @@ def test_vacuum_input_leaves_features_at_zero_within_noise():
     assert np.all(np.abs(features) < 3.0 * (integrated_se + 1e-12))
 
 
-def test_csv_round_trip(tmp_path):
-    times = np.arange(0, 11) * 0.1
-    rng = np.random.default_rng(2)
-    series = OccupationSeries(
-        times=times, mean=rng.uniform(0, 3, (11, 2)),
-        stderr=rng.uniform(0, 0.1, (11, 2)),
-        divergence_fraction=0.125, n_trajectories=80, injection_time=0.5)
-    text = series.to_csv()
-    assert "divergence_fraction" in text
-    again = series_from_csv(text)
-    assert np.array_equal(again.times, series.times)
-    assert np.array_equal(again.mean, series.mean)
-    assert np.array_equal(again.stderr, series.stderr)
-    assert again.divergence_fraction == series.divergence_fraction
-    assert again.n_trajectories == series.n_trajectories
-    assert again.injection_time == series.injection_time
-
-
 def test_window_validation():
     times = np.arange(0, 21) * 0.5
     series = synthetic_series(times, np.ones(21), injection_time=5.0)
@@ -205,8 +187,7 @@ def test_occupation_series_csv_text():
 def test_stability_scan_csv_text():
     scan = StabilityScan(f_values=np.array([0.0, 2.5]), other_name="kerr",
                          other_values=np.array([0.0, 0.5]),
-                         fraction=np.array([[1.0, 1.0], [0.96875, SUBNORMAL]]),
-                         trajectories=32, horizon=3.0, dt=0.05, fixed={"loss": 1.0})
+                         fraction=np.array([[1.0, 1.0], [0.96875, SUBNORMAL]]))
     assert scan.to_csv() == ("f,kerr,convergent_fraction\n0.0,0.0,1.0\n2.5,0.0,1.0\n"
                              "0.0,0.5,0.96875\n2.5,0.5,5e-324\n")
 

@@ -247,7 +247,9 @@ def test_missing_sample_file_is_a_configuration_error(tmp_path):
     (b'{"seed": 1}', "integer count"),
     (b'{"count": 2.5}', "integer count"),
     (b'{"count": true}', "integer count"),
-], ids=["not_json", "not_object", "no_count", "fractional_count", "boolean_count"])
+    (b'{"state": [1, 2], "count": 2}', "state must be a mapping"),
+], ids=["not_json", "not_object", "no_count", "fractional_count", "boolean_count",
+        "state_not_a_mapping"])
 def test_bad_sample_header_is_a_configuration_error(tmp_path, header, message):
     path = tmp_path / "bad.samples"
     rows = np.zeros(8, dtype="<f8").tobytes()      # two samples
