@@ -24,8 +24,8 @@ from .dynamics import (Schedule, PhaseSamplePair, TrajectoryRecord,
 from .observables import (OccupationSeries, FeatureRecord, occupation,
                           steady_occupations, feature_vector)
 from .oracle import (FockDensityMatrix, MasterSeries, WignerGrid, destroy,
-                     number_op, vacuum_density, build_state_fock,
-                     expect_occupation, evolve_master, wigner_grid)
+                     vacuum_density, build_state_fock, expect_occupation,
+                     evolve_master, wigner_grid)
 from .learn import (Hyperparams, ReadoutModel, Dataset, TrainingCurves,
                     Metrics, softmax, cross_entropy, train_classifier,
                     train_regressor, evaluate, generate_dataset, CLASS_NAMES)

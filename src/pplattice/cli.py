@@ -13,7 +13,6 @@ import argparse
 import datetime
 import hashlib
 import json
-import numbers
 import platform
 import sys
 from dataclasses import dataclass, field, replace
@@ -30,9 +29,11 @@ from .learn import (BASELINE_PAIR_CONFUSED_ACCURACY, BASELINE_UNIFORM_ACCURACY,
                     CLASSIFY_HYPERPARAMS, REGRESS_HYPERPARAMS, Hyperparams,
                     evaluate, generate_dataset, train_classifier,
                     train_regressor)
-from .model import ReservoirSpec, build_reservoir, load_reservoir, load_yaml, shape_for_modes
+from .model import (ReservoirSpec, build_reservoir, checked_number, load_reservoir, load_yaml,
+                    shape_for_modes)
 from .observables import csv_text
-from .oracle import MAX_DIM, build_state_fock, evolve_master, vacuum_density, wigner_grid
+from .oracle import (build_state_fock, composite_dimension, evolve_master, vacuum_density,
+                     wigner_grid)
 from .sampler import StateSpec, load_samples, sample_state, vacuum_samples
 
 ORACLE_MAX_MODES = 2
@@ -105,21 +106,13 @@ def _check_keys(cfg: dict, allowed: dict, kind: str) -> None:
                               f"{block or 'its top level'} takes {', '.join(sorted(keys))}")
 
 
-def _number(cfg: dict, key: str, default=None, integer: bool = False):
-    """Config value `key` ("block.name" inside a sub-mapping) as a float, or
-    as an int for an integer key; `default` when absent.  Booleans, text that
-    is not a number and, for integer keys, any non-integer are refused."""
+def _number(cfg: dict, key: str, default=None, integer: bool = False, minimum=None):
+    """Config value `key` ("block.name" inside a sub-mapping), read by
+    `checked_number` under its dotted name; `default` when absent."""
     *blocks, name = key.split(".")
     for block in blocks:
         cfg = _block(cfg, block)
-    value = cfg.get(name, default)
-    if isinstance(value, bool) or (integer and not isinstance(value, numbers.Integral)):
-        raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}, "
-                          f"got {value!r}")
-    try:
-        return int(value) if integer else float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    return checked_number(cfg.get(name, default), key, integer=integer, minimum=minimum)
 
 
 def _state_from_file(path) -> StateSpec:
@@ -221,10 +214,7 @@ def cmd_oracle_compare(args) -> None:
             f"oracle comparison supports at most {ORACLE_MAX_MODES} modes; "
             f"{spec.n_modes} modes at d={args.dim} would need a composite "
             f"dimension of {estimate}")
-    total = args.dim ** spec.n_modes * (args.source_dim if args.state else 1)
-    if total > MAX_DIM:
-        raise ConfigError(f"composite dimension {total} exceeds the oracle "
-                          f"limit {MAX_DIM}; lower --dim/--source-dim")
+    composite_dimension((args.dim,) * spec.n_modes, args.source_dim if args.state else None)
     schedule = _schedule_from_args(args)
     state = _state_from_file(args.state) if args.state else None
     manifest = RunManifest(
@@ -350,16 +340,12 @@ def cmd_pipeline(args) -> None:
     _check_keys(cfg, keys, task)
     base_seed = _number(cfg, "seed", 0 if args.seed is None else args.seed, integer=True)
     train_count = _number(cfg, "counts.train", 60, integer=True)
-    test_count = _number(cfg, "counts.test", 15, integer=True)
-    if test_count < 1:
-        raise ConfigError(f"counts.test must be >= 1 to evaluate the readout, got {test_count}")
+    test_count = _number(cfg, "counts.test", 15, integer=True, minimum=1)
     trajectories = _number(cfg, "trajectories", 2000, integer=True)
-    runs = _number(cfg, "runs", 1 if regress else 3, integer=True)
+    runs = _number(cfg, "runs", 1 if regress else 3, integer=True, minimum=1)
     if regress and runs != 1:
         raise ConfigError(f"runs must be 1 for predict_squeezing, which trains one "
                           f"readout; got {runs}")
-    if runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {runs}")
     run_seeds = [base_seed + 1000 + k for k in range(runs)]
     schedule = Schedule(t_relax=_number(cfg, "schedule.t_relax", 15.0),
                         t_final=_number(cfg, "schedule.t_final", 10.0),

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .model import ReservoirSpec
+from .model import ReservoirSpec, checked_number
 from .observables import OccupationSeries, csv_text, occupation
 from .sampler import PhaseSampleSet, vacuum_samples
 
@@ -472,7 +472,7 @@ def stability_scan(f_values, *, kerr_values=None, loss_values=None,
     fraction that stayed below DIVERGENCE_THRESHOLD.  Point (i, j) is
     seeded base + (i, j), so `workers` processes give the same fractions as one.
     """
-    _check_workers(workers)
+    checked_number(workers, "workers", integer=True, minimum=1)
     if (kerr_values is None) == (loss_values is None):
         raise ConfigError("pass exactly one of kerr_values or loss_values")
     f_values = np.asarray(f_values, dtype=float)
@@ -492,12 +492,6 @@ def stability_scan(f_values, *, kerr_values=None, loss_values=None,
     return StabilityScan(
         f_values=f_values, other_name="kerr" if scanning_kerr else "loss",
         other_values=other, fraction=np.array(fractions).reshape(other.size, -1))
-
-
-def _check_workers(workers) -> None:
-    """Refuse a worker count that is not an integer >= 1 (booleans included)."""
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
 
 
 def _pool_starmap(fn, plans, workers: int) -> list:

@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from .dynamics import (RelaxedStart, Schedule, relax_ensemble, run_ensemble,
-                       _check_workers, _pool_starmap, _seed_base)
+                       _pool_starmap, _seed_base)
 from .errors import ConfigError, DivergenceError
-from .model import ReservoirSpec
+from .model import ReservoirSpec, checked_number
 from .observables import FeatureRecord, csv_text, feature_vector, steady_occupations
 from .sampler import StateSpec, sample_state
 
@@ -59,20 +58,12 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        rate = self.learning_rate
-        if (isinstance(rate, bool) or not isinstance(rate, numbers.Real)
-                or not (rate > 0 and math.isfinite(rate))):
+        rate = checked_number(self.learning_rate, "learning rate")
+        if not (rate > 0 and math.isfinite(rate)):
             raise ConfigError(f"learning rate must be a positive number, got {rate!r}")
-        if not _is_count(self.epochs):
-            raise ConfigError(f"epochs must be an integer >= 1, got {self.epochs!r}")
-        if self.batch_size is not None and not _is_count(self.batch_size):
-            raise ConfigError(f"batch size must be an integer >= 1, got {self.batch_size!r}")
-
-
-def _is_count(value) -> bool:
-    """An integer >= 1 (NumPy's too) that is not a boolean."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
-            and value >= 1)
+        checked_number(self.epochs, "epochs", integer=True, minimum=1)
+        if self.batch_size is not None:
+            checked_number(self.batch_size, "batch size", integer=True, minimum=1)
 
 
 CLASSIFY_HYPERPARAMS = Hyperparams(learning_rate=5e-4, epochs=10_000, batch_size=None)
@@ -471,7 +462,7 @@ def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
     (2, c, i)).  Record seeds follow the record's position, so the dataset
     is reproducible and independent of generation order and worker count.
     """
-    _check_workers(workers)
+    checked_number(workers, "workers", integer=True, minimum=1)
     if task not in ("classify", "predict_squeezing"):
         raise ConfigError(f"unknown task {task!r}")
     if train_count < 1 or test_count < 0:

@@ -13,6 +13,7 @@ then input weights.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,20 +180,23 @@ class ReservoirSpec:
         try:       # a value of the wrong type or shape, or a missing key
             drive = np.array([complex(re, im) for re, im in data["drive"]], dtype=complex)
             fields = dict(
-                rows=int(data["rows"]),
-                cols=int(data["cols"]),
-                edges=tuple((int(i), int(j)) for i, j in data["edges"]),
+                rows=checked_number(data["rows"], "rows", integer=True),
+                cols=checked_number(data["cols"], "cols", integer=True),
+                edges=tuple((checked_number(i, "edge index", integer=True),
+                             checked_number(j, "edge index", integer=True))
+                            for i, j in data["edges"]),
                 hopping=np.array(data["hopping"], dtype=float),
                 detuning=np.array(data["detuning"], dtype=float),
-                kerr=float(data["kerr"]),
+                kerr=checked_number(data["kerr"], "kerr"),
                 drive=drive,
                 loss=np.array(data["loss"], dtype=float),
-                source_loss=float(data["source_loss"]),
+                source_loss=checked_number(data["source_loss"], "source_loss"),
                 input_weights=np.array(data["input_weights"], dtype=float),
-                eta=float(data["eta"]),
-                seed=None if data.get("seed") is None else int(data["seed"]),
+                eta=checked_number(data["eta"], "eta"),
+                seed=None if data.get("seed") is None
+                else checked_number(data["seed"], "seed", integer=True),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:   # ConfigError is a ValueError
             raise ConfigError(f"malformed reservoir dictionary: {exc}") from exc
         return cls(**fields)
 
@@ -213,6 +217,21 @@ def load_yaml(path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must hold a mapping, got {type(data).__name__}")
     return data
+
+
+def checked_number(value, name: str, *, integer: bool = False, minimum=None):
+    """`value` as an int (integer=True) or a float, if it is a real number of
+    that kind and at least `minimum`; else ConfigError naming `name`.
+
+    The one rule for a number read from outside: booleans and text are
+    refused, even text that spells a number, and for an integer quantity so
+    is any non-integer.  NumPy's numbers pass like Python's.
+    """
+    if (isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, bool) and (minimum is None or value >= minimum)):
+        return int(value) if integer else float(value)
+    raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}"
+                      f"{'' if minimum is None else f' >= {minimum}'}, got {value!r}")
 
 
 def load_reservoir(path) -> ReservoirSpec:

@@ -90,8 +90,17 @@ def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
 
 
-def number_op(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
+def composite_dimension(dims, source_dim: int | None = None) -> int:
+    """prod(dims) * source_dim (source_dim None: no source), the Hilbert
+    dimension the solver works in; ConfigError for a truncation below 2 or a
+    total over MAX_DIM, before anything is allocated."""
+    dims = tuple(dims) if source_dim is None else (*dims, source_dim)
+    if min(dims) < 2:
+        raise ConfigError(f"Fock truncation must be >= 2, got {min(dims)}")
+    total = math.prod(dims)
+    if total > MAX_DIM:
+        raise ConfigError(f"composite dimension {total} exceeds the oracle limit {MAX_DIM}")
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,10 +421,7 @@ def evolve_master(rho0: FockDensityMatrix, spec: ReservoirSpec,
         raise ConfigError("source state must be single-mode")
     dims = rho0.dims
     source_dim = source0.dims[0] if source0 is not None else None
-    total_dim = int(np.prod(dims)) * (source_dim or 1)
-    if total_dim > MAX_DIM:
-        raise ConfigError(
-            f"composite dimension {total_dim} too large for the exact solver (max {MAX_DIM})")
+    composite_dimension(dims, source_dim)
     segment = schedule.dt * schedule.record_stride
     times = schedule.times
     n = spec.n_modes

@@ -21,6 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ConfigError
+from .model import checked_number
 
 STATE_KINDS = ("coherent", "thermal", "squeezed_vacuum", "cat")
 SAMPLE_MAGIC = "#PPSAMPLES v1"
@@ -73,15 +74,14 @@ class StateSpec:
         if not isinstance(data, dict):
             raise ConfigError(f"a state must be a mapping, got {data!r}")
         d = dict(data)
-        beta = d.get("beta", 0j)
-        try:
-            if isinstance(beta, (list, tuple)):
-                real, imag = beta              # ValueError unless two entries
-                d["beta"] = complex(real, imag)
-            else:
-                d["beta"] = complex(beta)
-        except (TypeError, ValueError):
-            raise ConfigError(f"beta must be a number or [re, im], got {beta!r}") from None
+        for name in ("nbar", "r", "theta", "cat_phase"):
+            if name in d:
+                d[name] = checked_number(d[name], name)
+        beta = d.get("beta", 0.0)
+        parts = beta if isinstance(beta, (list, tuple)) else [beta, 0.0]
+        if len(parts) != 2:
+            raise ConfigError(f"beta must be a number or [re, im], got {beta!r}")
+        d["beta"] = complex(*(checked_number(x, "beta") for x in parts))
         try:
             return cls(**d)
         except TypeError as exc:
@@ -221,65 +221,19 @@ def _cat_weight(beta, cat_phase: float) -> float:
     return 1.0 + math.exp(-2.0 * abs(beta) ** 2) * math.cos(cat_phase)
 
 
-def cat_norm_squared(beta, cat_phase: float) -> float:
-    """Squared normalization of N(|beta> + e^{i phase}|-beta>)."""
-    return 1.0 / (2.0 * _cat_weight(beta, cat_phase))
+def _cat_acceptance(alpha, alpha_tilde, beta: complex, cat_phase: float):
+    """Probability that the cat sampler keeps the envelope point (alpha, alpha_tilde):
 
-
-def cat_canonical_density(alpha, alpha_tilde, beta, cat_phase: float):
-    """Canonical doubled-phase-space density of a cat state.
-
-    P(alpha, alpha_tilde) = (N^2 / 4 pi^2) * exp(-(|alpha|^2 + |alpha_tilde|^2)/2)
-                            * exp(-|beta|^2) * |e^{mu_bar beta} + e^{i phase} e^{-mu_bar beta}|^2
-
-    with mu_bar = conj(alpha + alpha_tilde)/2.  Normalized to integrate to 1
-    over the four real dimensions.  Accepts scalars or broadcastable arrays.
+        |e^x + e^{i phase} e^{-x}|^2 / (2 (|e^x|^2 + |e^{-x}|^2)),
+        x = conj(alpha + alpha_tilde) beta / 2.
     """
-    alpha = np.asarray(alpha, dtype=complex)
-    alpha_tilde = np.asarray(alpha_tilde, dtype=complex)
-    beta = complex(beta)
-    mu_bar = np.conj(alpha + alpha_tilde) / 2.0
-    x = mu_bar * beta
-    # Factor exp(|Re x|) out of the bracket so neither exponential overflows.
+    x = np.conj(alpha + alpha_tilde) * (beta / 2.0)
+    # Scale both exponentials by exp(-|Re x|) so neither overflows.
     ax = np.abs(x.real)
-    bracket = np.exp(x - ax) + np.exp(1j * cat_phase) * np.exp(-x - ax)
-    log_gauss = -(np.abs(alpha) ** 2 + np.abs(alpha_tilde) ** 2) / 2.0 \
-        - abs(beta) ** 2 + 2.0 * ax
-    pref = cat_norm_squared(beta, cat_phase) / (4.0 * np.pi ** 2)
-    return pref * np.exp(log_gauss) * np.abs(bracket) ** 2
-
-
-def canonical_density_from_fock(rho, alpha, alpha_tilde):
-    """Canonical density of an arbitrary single-mode state given in Fock basis.
-
-    P = (1 / 4 pi^2) * exp(-|alpha - alpha_tilde|^2 / 4) * <mu| rho |mu>,
-    mu = (alpha + alpha_tilde)/2.  `rho` may be a (d, d) array or any object
-    with a `.data` attribute holding one.  Used to pin closed-form densities
-    against an independent construction.
-    """
-    rho = np.asarray(getattr(rho, "data", rho), dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ConfigError(f"expected a square density matrix, got shape {rho.shape}")
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    alpha_tilde = np.atleast_1d(np.asarray(alpha_tilde, dtype=complex))
-    if alpha.shape != alpha_tilde.shape:
-        raise ConfigError("alpha and alpha_tilde must have matching shapes")
-    shape = alpha.shape
-    mu = ((alpha + alpha_tilde) / 2.0).ravel()
-    d = rho.shape[0]
-    n = np.arange(d)
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, d)))]) if d > 1 else np.zeros(1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mu = np.where(mu[:, None] == 0, -np.inf, np.log(np.abs(mu[:, None])))
-        log_mag = n[None, :] * log_mu - 0.5 * log_fact[None, :]
-        coeff = np.exp(log_mag - np.abs(mu[:, None]) ** 2 / 2.0) \
-            * np.exp(1j * n[None, :] * np.angle(mu[:, None]))
-    coeff[np.isnan(coeff)] = 0.0
-    coeff[:, 0] = np.exp(-np.abs(mu) ** 2 / 2.0)  # n=0 term, also covers mu == 0
-    expect = np.einsum("si,ij,sj->s", np.conj(coeff), rho, coeff)
-    gauss = np.exp(-np.abs(alpha.ravel() - alpha_tilde.ravel()) ** 2 / 4.0)
-    out = gauss * expect.real / (4.0 * np.pi ** 2)
-    return out.reshape(shape)
+    plus = np.exp(x - ax)
+    minus = np.exp(-x - ax)
+    return np.abs(plus + np.exp(1j * cat_phase) * minus) ** 2 \
+        / (2.0 * (np.abs(plus) ** 2 + np.abs(minus) ** 2))
 
 
 def _cat_round(rng, beta: complex, cat_phase: float, draws: int):
@@ -288,28 +242,20 @@ def _cat_round(rng, beta: complex, cat_phase: float, draws: int):
     g = rng.standard_normal((4, draws))
     alpha = centre + (g[0] + 1j * g[1])
     alpha_tilde = centre + (g[2] + 1j * g[3])
-    x = np.conj(alpha + alpha_tilde) * (beta / 2.0)
-    # Scale both exponentials by exp(-|Re x|) so neither overflows.
-    ax = np.abs(x.real)
-    plus = np.exp(x - ax)
-    minus = np.exp(-x - ax)
-    accept = np.abs(plus + np.exp(1j * cat_phase) * minus) ** 2 \
-        / (2.0 * (np.abs(plus) ** 2 + np.abs(minus) ** 2))
+    accept = _cat_acceptance(alpha, alpha_tilde, beta, cat_phase)
     return alpha, alpha_tilde, rng.random(draws) < accept
 
 
 def sample_cat(beta, cat_phase: float, count: int, seed=None) -> PhaseSampleSet:
     """Draw cat-state samples exactly, by rejection from a Gaussian envelope.
 
-    The canonical density (cat_canonical_density) is G |e^x + e^{i phase} e^{-x}|^2
-    with x = conj(alpha + alpha_tilde) beta / 2.  Since |a + b|^2 <= 2(|a|^2 + |b|^2),
-    it is bounded by a multiple of an equal mixture of two complex Gaussians
-    centred at alpha = alpha_tilde = +beta and -beta, unit variance per real
-    component.  A draw from the mixture is kept with probability
-
-        |e^x + e^{i phase} e^{-x}|^2 / (2 (|e^x|^2 + |e^{-x}|^2)),
-
-    so kept draws follow the density exactly; on average a fraction
+    The canonical density is proportional to G |e^x + e^{i phase} e^{-x}|^2,
+    G = exp(-(|alpha|^2 + |alpha_tilde|^2)/2), x = conj(alpha + alpha_tilde) beta / 2.
+    Since |a + b|^2 <= 2(|a|^2 + |b|^2), it is bounded by a multiple of an
+    equal mixture of two complex Gaussians centred at alpha = alpha_tilde =
+    +beta and -beta, unit variance per real component.  A draw from the
+    mixture is kept with probability _cat_acceptance, which is proportional to
+    the ratio of the two, so kept draws follow the density exactly; on average a fraction
     (1 + e^{-2|beta|^2} cos phase) / 2 is kept.  Draws come in rounds sized from
     that rate, at most ROUND_DRAWS each, all from one generator, so the samples
     depend only on (beta, cat_phase, count, seed).
@@ -393,5 +339,4 @@ def _batched_mean(values: np.ndarray):
 
 
 def _check_count(count: int):
-    if count < 1:
-        raise ConfigError(f"sample count must be >= 1, got {count}")
+    checked_number(count, "sample count", integer=True, minimum=1)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,17 +141,34 @@ def test_sample_state_unknown_kind_exits_2(tmp_path, capsys):
     assert json.loads(err)["exit_code"] == 2
 
 
-@pytest.mark.parametrize("beta", [[1], [1.0, 0.0, 0.0], ["1", "0"], "one"],
-                         ids=["one_entry", "three_entries", "text_entries", "text"])
+@pytest.mark.parametrize("beta", [[1], [1.0, 0.0, 0.0], ["1", "0"], "one", [True, 0], "1"],
+                         ids=["one_entry", "three_entries", "text_entries", "text",
+                              "boolean_entry", "quoted_number"])
 def test_sample_state_malformed_beta_exits_2(tmp_path, capsys, beta):
     state = write_yaml(tmp_path / "state.yaml", {"kind": "coherent", "beta": beta})
-    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path),
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"),
                            "sample-state", "--state", state, "--count", "10")
     assert code == 2
     record = json.loads(err)
     assert record["error"] == "ConfigError"
     assert "beta" in record["message"]
-    assert not (tmp_path / "state.samples").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("state, key", [
+    ({"kind": "squeezed_vacuum", "r": "strong"}, "r"),
+    ({"kind": "thermal", "nbar": True}, "nbar"),
+    ({"kind": "squeezed_vacuum", "r": 0.5, "theta": "0.1"}, "theta"),
+], ids=["word_r", "boolean_nbar", "quoted_theta"])
+def test_sample_state_non_numeric_field_exits_2(tmp_path, capsys, state, key):
+    path = write_yaml(tmp_path / "state.yaml", state)
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"),
+                           "sample-state", "--state", path, "--count", "10")
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"{key} must be a number")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sample_state_missing_file_exits_2(tmp_path, capsys):
@@ -242,8 +260,14 @@ def test_simulate_non_finite_duration_exits_2(tmp_path, capsys):
     ({"drive": [[0.5, 0.0, 1.0], [0.5, 0.0]]}, "malformed reservoir"),
     ({"kerr": "weak"}, "malformed reservoir"),
     ({"hopping": [[0.0, 1.0], [1.0]]}, "malformed reservoir"),
+    # a fraction or a boolean where a number is read is refused, not truncated
+    ({"rows": 1.7}, "rows must be an integer"),
+    ({"seed": 3.9}, "seed must be an integer"),
+    ({"rows": True}, "rows must be an integer"),
+    ({"kerr": True}, "kerr must be a number"),
 ], ids=["missing", "unparsable", "not_a_mapping", "word_rows", "drive_not_a_pair",
-        "word_kerr", "ragged_hopping"])
+        "word_kerr", "ragged_hopping", "fractional_rows", "fractional_seed",
+        "boolean_rows", "boolean_kerr"])
 def test_simulate_bad_reservoir_file_exits_2(tmp_path, capsys, content, message):
     good, samples = simulate_setup(tmp_path, capsys)
     reservoir = tmp_path / "bad.yaml"
@@ -368,15 +392,27 @@ def test_oracle_compare_three_modes_exits_2(tmp_path, capsys):
     assert "modes" in json.loads(err)["message"]
 
 
-def test_oracle_compare_oversized_dimension_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("dim, message", [("70", "exceeds"), ("0", "truncation"),
+                                          ("1", "truncation")],
+                         ids=["over_limit", "zero", "one"])
+def test_oracle_compare_oversized_dimension_exits_2(tmp_path, capsys, monkeypatch, dim,
+                                                    message):
     run_cli(capsys, "--out-dir", str(tmp_path), "--seed", "1",
             "gen-reservoir", "--modes", "2", "--kerr", "0.05")
-    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path),
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the dimension check")
+
+    monkeypatch.setattr(cli, "run_ensemble", no_ensemble)
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"),
                            "oracle-compare",
                            "--reservoir", str(tmp_path / "reservoir.yaml"),
-                           "--dim", "70")
+                           "--dim", dim)
     assert code == 2
-    assert "exceeds" in json.loads(err)["message"]
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert message in record["message"]
+    assert not (tmp_path / "out").exists()
 
 
 # -- wigner ------------------------------------------------------------------
@@ -503,9 +539,9 @@ def test_pipeline_fractional_batch_size_exits_2(tmp_path, capsys):
 
 
 def test_pipeline_classify_sweep_micro_run_pins_each_size(tmp_path, capsys):
-    config = write_yaml(tmp_path / "sweep.yaml", {
-        **MICRO_CLASSIFY, "task": "classify_sweep", "sweep_modes": [2, 3],
-        "runs": 2, "reservoir": {"kerr": 0.05, "seed": 7}})
+    sweep = {**MICRO_CLASSIFY, "task": "classify_sweep", "sweep_modes": [2, 3],
+             "runs": 2, "reservoir": {"kerr": 0.05, "seed": 7}}
+    config = write_yaml(tmp_path / "sweep.yaml", sweep)
     outputs = []
     for tag in ("a", "b"):
         out_dir = tmp_path / tag
@@ -536,6 +572,20 @@ def test_pipeline_classify_sweep_micro_run_pins_each_size(tmp_path, capsys):
         # content_hash is the sha256 of the text written to the file
         assert size["dataset_hash"] == sha256_file(path)
         assert size["accuracies"] == list(accuracies)
+
+    # the sweep in pieces: each size run alone writes bit-identical per-size
+    # files, so a sweep run one size at a time is a record of the whole sweep
+    for n in (2, 3):
+        piece = write_yaml(tmp_path / f"sweep_n{n}.yaml", {**sweep, "sweep_modes": [n]})
+        out_dir = tmp_path / f"alone_n{n}"
+        code, _, _ = run_cli(capsys, "--out-dir", str(out_dir), "pipeline", "--config", piece)
+        assert code == 0
+        alone = yaml.safe_load((out_dir / "pipeline.manifest.yaml").read_text())["outputs"]
+        per_size = {name: digest for name, digest in outputs[0].items()
+                    if re.search(rf"_n{n}[._]", name)}
+        assert len(per_size) == 1 + 3 * 2          # dataset, then model, curves, confusion per run
+        assert {name for name in alone if re.search(r"_n\d", name)} == set(per_size)
+        assert per_size.items() <= alone.items()
 
 
 @pytest.mark.parametrize("block", ["counts", "schedule", "hyperparams", "reservoir"])
@@ -646,6 +696,8 @@ SCAN = {"f": {"start": 0.0, "stop": 2.0, "count": 3},
     # a reservoir file stands for the whole block
     ("pipeline", {**MICRO_CLASSIFY, "reservoir": {"file": "reservoir.yaml", "kerr": 0.1}},
      "reservoir.kerr"),
+    # text is refused even when it spells a number
+    ("pipeline", {**MICRO_CLASSIFY, "schedule": {"dt": "0.05"}}, "schedule.dt"),
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, config, key):
     path = write_yaml(tmp_path / "config.yaml", config)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pplattice.errors import ConfigError
-from pplattice.model import (LatticeShape, build_reservoir, lattice_edges,
+from pplattice.model import (LatticeShape, build_reservoir, checked_number, lattice_edges,
                              load_reservoir, shape_for_modes, spectral_radius)
 
 
@@ -101,6 +101,10 @@ def test_yaml_round_trip(tmp_path):
     assert again.dumps() == spec.dumps()
     assert np.array_equal(again.hopping, spec.hopping)
     assert np.array_equal(again.input_weights, spec.input_weights)
+    unseeded = build_reservoir(2, kerr=0.1)
+    path.write_text(unseeded.dumps())
+    assert load_reservoir(path).seed is None
+    assert load_reservoir(path).dumps() == unseeded.dumps()
 
 
 def test_parameter_validation():
@@ -110,3 +114,29 @@ def test_parameter_validation():
         build_reservoir(2, kerr=0.1, loss=0.0, seed=0)
     with pytest.raises(ConfigError):
         build_reservoir(2, kerr=0.1, source_loss=-1.0, seed=0)
+
+
+def test_checked_number_accepts_real_numbers_of_the_asked_kind():
+    assert checked_number(3, "x") == 3.0 and type(checked_number(3, "x")) is float
+    assert checked_number(np.float32(0.5), "x") == 0.5
+    assert checked_number(np.int64(4), "n", integer=True, minimum=1) == 4
+    assert type(checked_number(np.int64(4), "n", integer=True)) is int
+    assert checked_number(-2, "n", integer=True) == -2
+    assert checked_number(1, "n", integer=True, minimum=1) == 1
+
+
+@pytest.mark.parametrize("value, integer, minimum", [
+    (True, False, None), (np.bool_(True), False, None), ("0.05", False, None),
+    ("3", True, None), (None, False, None), (1 + 0j, False, None), ([1], False, None),
+    (2.0, True, None), (1.7, True, None), (0, True, 1), (float("nan"), False, 0),
+])
+def test_checked_number_refuses_everything_else(value, integer, minimum):
+    with pytest.raises(ConfigError, match=r"^workers must be (a number|an integer)"):
+        checked_number(value, "workers", integer=integer, minimum=minimum)
+
+
+def test_checked_number_message_names_the_rule():
+    with pytest.raises(ConfigError, match=r"^workers must be an integer >= 1, got 0$"):
+        checked_number(0, "workers", integer=True, minimum=1)
+    with pytest.raises(ConfigError, match=r"^dt must be a number, got '0.05'$"):
+        checked_number("0.05", "dt")

@@ -13,12 +13,16 @@ from pplattice.dynamics import (PhaseSamplePair, Schedule, build_single_mode,
                                 evolve_trajectory, relax_ensemble, run_ensemble)
 from pplattice.errors import ConfigError, NumericsError, TruncationError
 from pplattice.model import build_reservoir, shape_for_modes
-from pplattice.oracle import (FockDensityMatrix, _generators, _LindbladOperator,
-                              _one_norm_bound, build_state_fock, destroy, evolve_master,
-                              expect_occupation, number_op, vacuum_density,
+from pplattice.oracle import (MAX_DIM, FockDensityMatrix, _generators, _LindbladOperator,
+                              _one_norm_bound, build_state_fock, composite_dimension,
+                              destroy, evolve_master, expect_occupation, vacuum_density,
                               wigner_grid)
 from pplattice.sampler import (cat_state, coherent_state, sample_coherent,
                                sample_state, squeezed_state, thermal_state)
+
+
+def number_op(dim: int) -> np.ndarray:
+    return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
 # -- ladder operators -----------------------------------------------------------
@@ -361,10 +365,27 @@ def test_master_equation_memory_does_not_grow_with_records():
     assert peaks[1] < 1.5 * peaks[0]
 
 
+def test_composite_dimension_counts_the_source_only_when_given():
+    assert composite_dimension((6, 6)) == 36
+    assert composite_dimension((6, 6), 12) == 432
+    # three modes at d = 12 fit the solver; the CLI's two-mode cap is its own policy
+    assert composite_dimension((12, 12, 12)) == 1728
+    assert composite_dimension((MAX_DIM,)) == MAX_DIM
+
+
+@pytest.mark.parametrize("dims, source_dim, message", [
+    ((70, 70), None, "exceeds"), ((6,), 700, "exceeds"), ((MAX_DIM + 1,), None, "exceeds"),
+    ((0,), None, ">= 2"), ((6, 1), None, ">= 2"), ((6,), 1, ">= 2"),
+])
+def test_composite_dimension_refusals(dims, source_dim, message):
+    with pytest.raises(ConfigError, match=message):
+        composite_dimension(dims, source_dim)
+
+
 def test_master_equation_refusals():
     spec = build_single_mode(drive=0.5, kerr=0.0, loss=1.0)
     schedule = Schedule(t_relax=1.0, t_final=0.0, dt=0.05, record_stride=20)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="exceeds"):
         evolve_master(vacuum_density(80), spec,
                       build_state_fock(coherent_state(0.5), 80), schedule)
     with pytest.raises(ConfigError):

@@ -8,8 +8,8 @@ import pytest
 from conftest import plain_se
 from pplattice.errors import ConfigError
 from pplattice.oracle import build_state_fock, destroy, expect_occupation
-from pplattice.sampler import (SAMPLE_MAGIC, StateSpec, _cat_round, canonical_density_from_fock,
-                               cat_canonical_density, cat_state, coherent_state,
+from pplattice.sampler import (SAMPLE_MAGIC, StateSpec, _cat_acceptance, _cat_round,
+                               cat_state, coherent_state,
                                estimate_moment, load_samples, mean_occupation,
                                sample_cat, sample_coherent, sample_squeezed_vacuum,
                                sample_state, sample_thermal, squeezed_state,
@@ -82,10 +82,50 @@ def test_squeezed_anomalous_moment():
 
 
 # -- cat canonical density -----------------------------------------------------
+# Two instruments: the density the cat sampler draws from, and the canonical
+# density of any single-mode state built independently from its Fock form.
+
+def sampler_cat_density(alpha, alpha_tilde, beta, phase):
+    """The cat sampler's envelope density times its acceptance probability,
+    over its acceptance rate: the density its kept draws follow.
+
+    The envelope is the equal mixture of two complex Gaussians centred at
+    alpha = alpha_tilde = +beta and -beta, unit variance per real component.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    alpha_tilde = np.asarray(alpha_tilde, dtype=complex)
+    beta = complex(beta)
+    envelope = sum(np.exp(-(np.abs(alpha - c) ** 2 + np.abs(alpha_tilde - c) ** 2) / 2.0)
+                   for c in (beta, -beta)) / (2.0 * (2.0 * math.pi) ** 2)
+    rate = (1.0 + math.exp(-2.0 * abs(beta) ** 2) * math.cos(phase)) / 2.0
+    return envelope * _cat_acceptance(alpha, alpha_tilde, beta, phase) / rate
+
+
+def canonical_density_from_fock(rho, alpha, alpha_tilde):
+    """Canonical density of a single-mode state given in the Fock basis:
+
+    P = (1 / 4 pi^2) * exp(-|alpha - alpha_tilde|^2 / 4) * <mu| rho |mu>,
+    mu = (alpha + alpha_tilde)/2, for a FockDensityMatrix `rho`.
+    """
+    rho = rho.data
+    alpha = np.asarray(alpha, dtype=complex)
+    alpha_tilde = np.asarray(alpha_tilde, dtype=complex)
+    mu = ((alpha + alpha_tilde) / 2.0).ravel()
+    n = np.arange(rho.shape[0])
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(n[1:]))])
+    # <n|mu> = e^{-|mu|^2/2} mu^n / sqrt(n!); mu^0 = 1 also at mu = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_power = np.where(n == 0, 0.0, n * np.log(np.abs(mu[:, None])))
+    coeff = np.exp(log_power - 0.5 * log_fact - np.abs(mu[:, None]) ** 2 / 2.0) \
+        * np.exp(1j * n * np.angle(mu[:, None]))
+    expect = np.einsum("si,ij,sj->s", np.conj(coeff), rho, coeff).real
+    gauss = np.exp(-np.abs(alpha - alpha_tilde).ravel() ** 2 / 4.0)
+    return (gauss * expect / (4.0 * math.pi ** 2)).reshape(alpha.shape)
+
 
 def test_vacuum_canonical_density_peaks_at_origin():
     pts = np.array([0.0, 0.4, 0.8, -0.6j, 1.0 + 1.0j])
-    dens = cat_canonical_density(pts, pts, 0.0, 0.0)
+    dens = sampler_cat_density(pts, pts, 0.0, 0.0)
     assert np.argmax(dens) == 0
     assert dens[0] == pytest.approx(1.0 / (4.0 * math.pi ** 2), rel=1e-10)
 
@@ -96,15 +136,15 @@ def test_cat_density_normalizes_on_a_wide_grid():
     xs = np.linspace(-halfwidth, halfwidth, 48)
     h = xs[1] - xs[0]
     plane = (xs[:, None] + 1j * xs[None, :]).ravel()
-    dens = cat_canonical_density(plane[:, None], plane[None, :], beta, 0.0)
+    dens = sampler_cat_density(plane[:, None], plane[None, :], beta, 0.0)
     mass = float(dens.sum()) * h ** 4
     assert abs(mass - 1.0) < 0.01
 
 
 def test_cat_density_favours_aligned_lobes():
     beta = 1.2
-    aligned = cat_canonical_density(np.array([beta]), np.array([beta]), beta, 0.0)
-    crossed = cat_canonical_density(np.array([beta]), np.array([-beta]), beta, 0.0)
+    aligned = sampler_cat_density(np.array([beta]), np.array([beta]), beta, 0.0)
+    crossed = sampler_cat_density(np.array([beta]), np.array([-beta]), beta, 0.0)
     assert aligned[0] > crossed[0]
 
 
@@ -130,9 +170,24 @@ def test_cat_density_cross_validates_against_fock_form(phase):
     rng = np.random.default_rng(21)
     alpha = 1.5 * (rng.standard_normal(30) + 1j * rng.standard_normal(30))
     alpha_tilde = 1.5 * (rng.standard_normal(30) + 1j * rng.standard_normal(30))
-    direct = cat_canonical_density(alpha, alpha_tilde, beta, phase)
+    direct = sampler_cat_density(alpha, alpha_tilde, beta, phase)
     via_fock = canonical_density_from_fock(rho, alpha, alpha_tilde)
     assert np.max(np.abs(direct - via_fock)) < 1e-6
+
+
+@pytest.mark.parametrize("phase", [0.0, math.pi / 2, math.pi])
+def test_cat_sampler_density_equals_fock_form_at_complex_beta(phase):
+    # the sampler's own acceptance against the Fock form, around both lobes
+    # and between them, with a spread wider than the envelope's
+    beta = 1.6 * np.exp(0.7j)
+    rho = build_state_fock(cat_state(beta, phase), 50)
+    rng = np.random.default_rng(5)
+    centre = np.where(rng.random(50) < 0.5, beta, -beta)
+    g = 1.5 * rng.standard_normal((4, 50))
+    alpha, alpha_tilde = centre + g[0] + 1j * g[1], centre + g[2] + 1j * g[3]
+    via_fock = canonical_density_from_fock(rho, alpha, alpha_tilde)
+    direct = sampler_cat_density(alpha, alpha_tilde, beta, phase)
+    assert np.max(np.abs(direct - via_fock)) < 1e-9 * np.max(via_fock)
 
 
 # -- cat sampling ---------------------------------------------------------------
