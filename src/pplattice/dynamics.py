@@ -83,8 +83,7 @@ class Schedule:
     def __post_init__(self):
         if self.t_relax < 0 or self.t_final < 0:
             raise ConfigError("phase durations must be >= 0")
-        if int(self.record_stride) != self.record_stride or self.record_stride < 1:
-            raise ConfigError(f"record_stride must be a positive integer, got {self.record_stride}")
+        checked_number(self.record_stride, "record_stride", integer=True, minimum=1)
         n_relax = _exact_steps(self.t_relax, self.dt, "t_relax")
         n_total = n_relax + _exact_steps(self.t_final, self.dt, "t_final")
         if n_total < 1:
@@ -335,12 +334,8 @@ def _vacuum_start(trajectories: int, n_modes: int) -> RelaxedStart:
 
 def _block_runs(spec, schedule, initial: RelaxedStart, sources0, base: tuple,
                 start: int, stop: int):
-    """Integrate fixed 512-trajectory blocks in index order, yielding each run.
-
-    An empty ensemble is refused when the first run is asked for."""
+    """Integrate fixed 512-trajectory blocks in index order, yielding each run."""
     total = initial.alive.shape[0]
-    if total < 1:
-        raise ConfigError(f"trajectory count must be >= 1, got {total}")
     for lo in range(0, total, BLOCK_TRAJECTORIES):
         hi = min(lo + BLOCK_TRAJECTORIES, total)
         yield _BlockRun(
@@ -363,7 +358,7 @@ def _ensemble_series(runs, times, total: int, injection_time: float,
     for run in runs:
         if ends is not None:
             ends.append((run.pair, run.alive))
-        block = run.occupations[run.alive]
+        block = run.occupations if run.alive.all() else run.occupations[run.alive]
         if block.shape[0]:
             occ = _merge_moments(occ, block)
             lo = np.minimum(lo, block.min(axis=0))
@@ -385,7 +380,9 @@ def _merge_moments(acc, block):
     """Merge the (count, mean, M2) triple `acc` (None: empty) with `block`'s."""
     count = block.shape[0]
     mean = block.mean(axis=0)
-    m2 = ((block - mean) ** 2).sum(axis=0)
+    dev = block - mean
+    dev *= dev
+    m2 = dev.sum(axis=0)
     if acc is None:
         return count, mean, m2
     n_a, mean_a, m2_a = acc
@@ -400,6 +397,7 @@ def relax_ensemble(spec: ReservoirSpec, schedule: Schedule, trajectories: int,
     """Integrate the relaxation phase (f = 0) of `trajectories` vacuum-start
     reservoir trajectories, for any number of injections to resume from.
     One block's recording is in memory at a time."""
+    trajectories = checked_number(trajectories, "trajectory count", integer=True, minimum=1)
     vacuum = _vacuum_start(trajectories, spec.n_modes)
     ends = []
     series = _ensemble_series(
@@ -423,7 +421,7 @@ def run_ensemble(spec: ReservoirSpec, source_samples: PhaseSampleSet, schedule: 
     past DIVERGENCE_THRESHOLD, also those lost while relaxing, are excluded
     from the averages entirely; if all diverge, raises DivergenceError.
     """
-    total = len(source_samples)
+    total = checked_number(len(source_samples), "trajectory count", integer=True, minimum=1)
     start = 0 if relaxed is None else schedule.n_relax
     initial = _vacuum_start(total, spec.n_modes) if relaxed is None else relaxed
     if initial.alpha.shape != (total, spec.n_modes):
@@ -511,13 +509,13 @@ def _convergent_fraction(spec, samples, schedule, seed) -> float:
     return 1.0 - series.divergence_fraction
 
 
-def build_single_mode(*, drive, kerr: float, loss: float, detuning: float = 0.0,
+def build_single_mode(*, drive, kerr: float, loss: float,
                       source_loss: float = 1.0, input_weight: float = 0.0) -> ReservoirSpec:
     """One isolated mode; the degenerate reservoir used by scans and oracles."""
     w = np.array([float(input_weight)])
     return ReservoirSpec(
         rows=1, cols=1, edges=(),
-        hopping=np.zeros((1, 1)), detuning=np.array([float(detuning)]),
+        hopping=np.zeros((1, 1)), detuning=np.zeros(1),
         kerr=float(kerr), drive=np.array([complex(drive)]),
         loss=np.array([float(loss)]), source_loss=float(source_loss),
         input_weights=w, eta=float(np.sum(w ** 2)), seed=None)

@@ -465,8 +465,8 @@ def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
     checked_number(workers, "workers", integer=True, minimum=1)
     if task not in ("classify", "predict_squeezing"):
         raise ConfigError(f"unknown task {task!r}")
-    if train_count < 1 or test_count < 0:
-        raise ConfigError("need at least one training record and test_count >= 0")
+    checked_number(train_count, "train_count", integer=True, minimum=1)
+    checked_number(test_count, "test_count", integer=True, minimum=0)
     base = _seed_base(seed)
     relaxed = relax_ensemble(spec, schedule, trajectories, seed=base + (3,))
     labels = CLASS_NAMES if task == "classify" else ("squeezed_vacuum",)

@@ -36,8 +36,8 @@ class LatticeShape:
     cols: int
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError(f"lattice dimensions must be >= 1, got {self.rows}x{self.cols}")
+        checked_number(self.rows, "lattice rows", integer=True, minimum=1)
+        checked_number(self.cols, "lattice cols", integer=True, minimum=1)
 
     @property
     def n_modes(self) -> int:
@@ -49,8 +49,7 @@ def shape_for_modes(n_modes: int) -> LatticeShape:
 
     Perfect squares become square lattices, anything else a 1xN chain.
     """
-    if n_modes < 1:
-        raise ConfigError(f"mode count must be >= 1, got {n_modes}")
+    n_modes = checked_number(n_modes, "mode count", integer=True, minimum=1)
     side = math.isqrt(n_modes)
     if side * side == n_modes:
         return LatticeShape(side, side)
@@ -178,20 +177,21 @@ class ReservoirSpec:
         if data.get("format", RESERVOIR_FORMAT) != RESERVOIR_FORMAT:
             raise ConfigError(f"unknown reservoir format {data['format']!r}")
         try:       # a value of the wrong type or shape, or a missing key
-            drive = np.array([complex(re, im) for re, im in data["drive"]], dtype=complex)
+            drive = np.array([complex(checked_number(re, "drive"), checked_number(im, "drive"))
+                              for re, im in data["drive"]], dtype=complex)
             fields = dict(
                 rows=checked_number(data["rows"], "rows", integer=True),
                 cols=checked_number(data["cols"], "cols", integer=True),
                 edges=tuple((checked_number(i, "edge index", integer=True),
                              checked_number(j, "edge index", integer=True))
                             for i, j in data["edges"]),
-                hopping=np.array(data["hopping"], dtype=float),
-                detuning=np.array(data["detuning"], dtype=float),
+                hopping=np.array([_checked_floats(row, "hopping") for row in data["hopping"]]),
+                detuning=_checked_floats(data["detuning"], "detuning"),
                 kerr=checked_number(data["kerr"], "kerr"),
                 drive=drive,
-                loss=np.array(data["loss"], dtype=float),
+                loss=_checked_floats(data["loss"], "loss"),
                 source_loss=checked_number(data["source_loss"], "source_loss"),
-                input_weights=np.array(data["input_weights"], dtype=float),
+                input_weights=_checked_floats(data["input_weights"], "input_weights"),
                 eta=checked_number(data["eta"], "eta"),
                 seed=None if data.get("seed") is None
                 else checked_number(data["seed"], "seed", integer=True),
@@ -234,11 +234,16 @@ def checked_number(value, name: str, *, integer: bool = False, minimum=None):
                       f"{'' if minimum is None else f' >= {minimum}'}, got {value!r}")
 
 
+def _checked_floats(values, name: str) -> np.ndarray:
+    """A float array of `values`, each entry read by checked_number."""
+    return np.array([checked_number(x, name) for x in values], dtype=float)
+
+
 def load_reservoir(path) -> ReservoirSpec:
     return ReservoirSpec.from_dict(load_yaml(path))
 
 
-def build_reservoir(shape: LatticeShape | int, *, kerr: float, drive: complex | np.ndarray = 0.5,
+def build_reservoir(shape: LatticeShape, *, kerr: float, drive: complex | np.ndarray = 0.5,
                     loss: float | np.ndarray = 1.0, source_loss: float = 1.0,
                     seed: int | None = None) -> ReservoirSpec:
     """Draw one reservoir instance.
@@ -248,8 +253,6 @@ def build_reservoir(shape: LatticeShape | int, *, kerr: float, drive: complex | 
     uniform over [0, 1).  `drive` and `loss` may be scalars (uniform across
     modes) or per-mode vectors.
     """
-    if isinstance(shape, int):
-        shape = shape_for_modes(shape)
     n = shape.n_modes
     edges = lattice_edges(shape)
     rng = np.random.default_rng(np.random.SeedSequence(seed))

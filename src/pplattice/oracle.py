@@ -67,7 +67,7 @@ import numpy as np
 
 from .dynamics import Schedule
 from .errors import ConfigError, NumericsError, TruncationError
-from .model import ReservoirSpec
+from .model import ReservoirSpec, checked_number
 from .observables import csv_text, trapezoid
 from .sampler import StateSpec
 
@@ -85,19 +85,17 @@ TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
 
 def destroy(dim: int) -> np.ndarray:
     """Truncated annihilation operator, b|n> = sqrt(n)|n-1>."""
-    if dim < 2:
-        raise ConfigError(f"Fock truncation must be >= 2, got {dim}")
+    composite_dimension((dim,))
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
 
 
 def composite_dimension(dims, source_dim: int | None = None) -> int:
     """prod(dims) * source_dim (source_dim None: no source), the Hilbert
-    dimension the solver works in; ConfigError for a truncation below 2 or a
-    total over MAX_DIM, before anything is allocated."""
+    dimension the solver works in; ConfigError for a truncation that is not
+    an integer >= 2 or a total over MAX_DIM, before anything is allocated."""
     dims = tuple(dims) if source_dim is None else (*dims, source_dim)
-    if min(dims) < 2:
-        raise ConfigError(f"Fock truncation must be >= 2, got {min(dims)}")
-    total = math.prod(dims)
+    total = math.prod(checked_number(d, "Fock truncation", integer=True, minimum=2)
+                      for d in dims)
     if total > MAX_DIM:
         raise ConfigError(f"composite dimension {total} exceeds the oracle limit {MAX_DIM}")
     return total
@@ -115,10 +113,6 @@ class FockDensityMatrix:
         if self.data.shape != (d, d):
             raise ConfigError(
                 f"density matrix shape {self.data.shape} does not match dims {self.dims}")
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
 
     @property
     def n_modes(self) -> int:
@@ -141,8 +135,8 @@ class FockDensityMatrix:
 
 
 def vacuum_density(dims) -> FockDensityMatrix:
-    dims = tuple(int(d) for d in (dims if np.iterable(dims) else (dims,)))
-    d = int(np.prod(dims))
+    dims = tuple(dims) if np.iterable(dims) else (dims,)
+    d = composite_dimension(dims)
     data = np.zeros((d, d), dtype=complex)
     data[0, 0] = 1.0
     return FockDensityMatrix(data=data, dims=dims)
@@ -199,8 +193,7 @@ def _pure_coefficients(state: StateSpec, count: int) -> np.ndarray:
 def build_state_fock(state: StateSpec, dim: int) -> FockDensityMatrix:
     """Input state as a truncated density matrix, renormalized after the
     tail-mass guard passes."""
-    if dim < 2:
-        raise ConfigError(f"Fock truncation must be >= 2, got {dim}")
+    composite_dimension((dim,))
     if state.kind == "thermal":
         n = np.arange(dim)
         if state.nbar == 0.0:
@@ -398,10 +391,6 @@ class MasterSeries:
     source_occupation: np.ndarray | None
     trace_error: float
     final_state: FockDensityMatrix
-
-    @property
-    def n_modes(self) -> int:
-        return self.occupation.shape[1]
 
 
 def evolve_master(rho0: FockDensityMatrix, spec: ReservoirSpec,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pplattice import cli, dynamics
+from pplattice import cli, dynamics, oracle
 from pplattice.cli import build_parser, main
 from pplattice.model import load_reservoir
 from pplattice.sampler import PhaseSampleSet, load_samples, mean_occupation
@@ -265,9 +265,13 @@ def test_simulate_non_finite_duration_exits_2(tmp_path, capsys):
     ({"seed": 3.9}, "seed must be an integer"),
     ({"rows": True}, "rows must be an integer"),
     ({"kerr": True}, "kerr must be a number"),
+    # so is text or a boolean inside an array field or a drive pair
+    ({"loss": ["1.0", 1.0]}, "loss must be a number"),
+    ({"loss": [1.0, True]}, "loss must be a number"),
+    ({"drive": [[0.5, True], [0.5, 0.0]]}, "drive must be a number"),
 ], ids=["missing", "unparsable", "not_a_mapping", "word_rows", "drive_not_a_pair",
         "word_kerr", "ragged_hopping", "fractional_rows", "fractional_seed",
-        "boolean_rows", "boolean_kerr"])
+        "boolean_rows", "boolean_kerr", "text_loss", "boolean_loss", "boolean_drive"])
 def test_simulate_bad_reservoir_file_exits_2(tmp_path, capsys, content, message):
     good, samples = simulate_setup(tmp_path, capsys)
     reservoir = tmp_path / "bad.yaml"
@@ -437,6 +441,18 @@ def test_wigner_cat_csv_shows_negative_fringes(tmp_path, capsys):
     assert code == 0
     _, data = read_csv_columns(tmp_path / "wigner.csv")
     assert data[:, 2].min() < -0.1
+
+
+def test_wigner_dimension_over_the_limit_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_DIM", 30)
+    state = write_yaml(tmp_path / "state.yaml", {"kind": "coherent", "beta": [0.5, 0.0]})
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"), "wigner",
+                           "--state", state, "--dim", "31", "--points", "11")
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "exceeds" in record["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bounds", [["--q-min", "nan"], ["--q-min", "inf"],
@@ -812,7 +828,7 @@ import pplattice as pp
 def loaded(prefixes=("scipy.sparse", "scipy.special")):
     return sorted(m for m in sys.modules if m.startswith(prefixes))
 
-spec = pp.build_reservoir(2, kerr=0.1, seed=1)
+spec = pp.build_reservoir(pp.shape_for_modes(2), kerr=0.1, seed=1)
 schedule = pp.Schedule(t_relax=0.5, t_final=0.5, dt=0.05, record_stride=5)
 pp.generate_dataset("classify", spec, schedule, train_count=1, test_count=0,
                     trajectories=8, seed=1)

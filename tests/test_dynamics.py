@@ -67,6 +67,9 @@ def test_schedule_validation():
         Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=3)
     with pytest.raises(ConfigError):
         Schedule(t_relax=1.3, t_final=1.0, dt=0.5, record_stride=1)
+    for bad in (4.0, True):     # refused here, not at the first slice that uses it
+        with pytest.raises(ConfigError, match="record_stride must be an integer"):
+            Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=bad)
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="finite"):
             Schedule(t_relax=bad, t_final=1.0, dt=0.05, record_stride=1)
@@ -471,8 +474,9 @@ def test_empty_ensemble_is_a_configuration_error():
     empty = PhaseSampleSet(alpha=np.zeros(0, complex), alpha_tilde=np.zeros(0, complex))
     with pytest.raises(ConfigError, match="trajectory count"):
         run_ensemble(spec, empty, schedule, seed=0)
-    with pytest.raises(ConfigError, match="trajectory count"):
-        relax_ensemble(spec, schedule, 0, seed=0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ConfigError, match="trajectory count"):
+            relax_ensemble(spec, schedule, bad, seed=0)
 
 
 def test_infinite_threshold_keeps_every_trajectory(monkeypatch):

@@ -402,6 +402,20 @@ def test_bad_worker_count_is_refused_before_generating(monkeypatch, small_reserv
                          test_count=0, trajectories=4, seed=1, workers=workers)
 
 
+@pytest.mark.parametrize("counts, name", [
+    ((2.5, 0), "train_count"), ((True, 0), "train_count"), ((1, 0.5), "test_count"),
+])
+def test_bad_record_count_is_refused_before_generating(monkeypatch, small_reservoir,
+                                                       small_schedule, counts, name):
+    def never(*args, **kwargs):
+        raise AssertionError("simulated with a refused record count")
+    monkeypatch.setattr(learn, "relax_ensemble", never)
+    train, test = counts
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        generate_dataset("classify", small_reservoir, small_schedule, train_count=train,
+                         test_count=test, trajectories=4, seed=1)
+
+
 def test_dataset_generation_relaxes_once(monkeypatch, small_reservoir, small_schedule):
     calls = {"relax_ensemble": [], "run_ensemble": []}
 

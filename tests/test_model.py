@@ -19,10 +19,13 @@ def test_shape_for_modes_square_or_chain():
 
 
 def test_shape_validation():
-    with pytest.raises(ConfigError):
-        shape_for_modes(0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ConfigError, match="mode count must be an integer >= 1"):
+            shape_for_modes(bad)
     with pytest.raises(ConfigError):
         LatticeShape(rows=0, cols=3)
+    with pytest.raises(ConfigError, match="lattice rows must be an integer"):
+        LatticeShape(rows=1.5, cols=1)
 
 
 def test_edge_counts():
@@ -58,7 +61,7 @@ def test_spectral_radius_matches_dense_eigensolver():
 
 
 def test_single_mode_reservoir_has_no_hopping():
-    spec = build_reservoir(1, kerr=0.1, seed=3)
+    spec = build_reservoir(shape_for_modes(1), kerr=0.1, seed=3)
     assert spec.n_modes == 1
     assert np.all(spec.hopping == 0.0)
     assert spec.eta == float(spec.input_weights[0] ** 2)
@@ -101,7 +104,7 @@ def test_yaml_round_trip(tmp_path):
     assert again.dumps() == spec.dumps()
     assert np.array_equal(again.hopping, spec.hopping)
     assert np.array_equal(again.input_weights, spec.input_weights)
-    unseeded = build_reservoir(2, kerr=0.1)
+    unseeded = build_reservoir(shape_for_modes(2), kerr=0.1)
     path.write_text(unseeded.dumps())
     assert load_reservoir(path).seed is None
     assert load_reservoir(path).dumps() == unseeded.dumps()
@@ -109,11 +112,11 @@ def test_yaml_round_trip(tmp_path):
 
 def test_parameter_validation():
     with pytest.raises(ConfigError):
-        build_reservoir(2, kerr=-0.1, seed=0)
+        build_reservoir(shape_for_modes(2), kerr=-0.1, seed=0)
     with pytest.raises(ConfigError):
-        build_reservoir(2, kerr=0.1, loss=0.0, seed=0)
+        build_reservoir(shape_for_modes(2), kerr=0.1, loss=0.0, seed=0)
     with pytest.raises(ConfigError):
-        build_reservoir(2, kerr=0.1, source_loss=-1.0, seed=0)
+        build_reservoir(shape_for_modes(2), kerr=0.1, source_loss=-1.0, seed=0)
 
 
 def test_checked_number_accepts_real_numbers_of_the_asked_kind():

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from conftest import max_se_ratio
 from pplattice.dynamics import (PhaseSamplePair, Schedule, build_single_mode,
                                 evolve_trajectory, relax_ensemble, run_ensemble)
+from pplattice import oracle
 from pplattice.errors import ConfigError, NumericsError, TruncationError
 from pplattice.model import build_reservoir, shape_for_modes
 from pplattice.oracle import (MAX_DIM, FockDensityMatrix, _generators, _LindbladOperator,
@@ -111,6 +112,9 @@ def test_density_matrix_validation():
         FockDensityMatrix(data=negative, dims=(4,)).validate()
     with pytest.raises(ConfigError):
         FockDensityMatrix(data=np.eye(3, dtype=complex), dims=(4,))
+    for dims in ((0,), (2.5,), (6, 2.5)):
+        with pytest.raises(ConfigError, match="truncation"):
+            vacuum_density(dims)
 
 
 # -- master-equation generators ------------------------------------------------------
@@ -376,10 +380,19 @@ def test_composite_dimension_counts_the_source_only_when_given():
 @pytest.mark.parametrize("dims, source_dim, message", [
     ((70, 70), None, "exceeds"), ((6,), 700, "exceeds"), ((MAX_DIM + 1,), None, "exceeds"),
     ((0,), None, ">= 2"), ((6, 1), None, ">= 2"), ((6,), 1, ">= 2"),
+    ((2.5,), None, "truncation must be an integer"),
+    ((True,), None, "truncation must be an integer"),
 ])
 def test_composite_dimension_refusals(dims, source_dim, message):
     with pytest.raises(ConfigError, match=message):
         composite_dimension(dims, source_dim)
+
+
+def test_input_state_above_the_dimension_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_DIM", 30)
+    assert build_state_fock(coherent_state(0.5), 30).dims == (30,)
+    with pytest.raises(ConfigError, match="exceeds"):
+        build_state_fock(coherent_state(0.5), 31)
 
 
 def test_master_equation_refusals():
