@@ -287,7 +287,7 @@ def _pipeline_reservoir(cfg: dict, seed) -> ReservoirSpec:
                            kerr=_number(cfg, "kerr"), drive=_number(cfg, "drive", 0.5),
                            loss=_number(cfg, "loss", 1.0),
                            source_loss=_number(cfg, "source_loss", 1.0),
-                           seed=_number(cfg, "seed", seed, integer=True))
+                           seed=_number(cfg, "seed", seed, integer=True, minimum=0))
 
 
 def _classify_runs(dataset, hyper: Hyperparams, run_seeds, prefix: str,
@@ -338,7 +338,7 @@ def cmd_pipeline(args) -> None:
         keys = {**keys, "": keys[""] | {"sweep_modes"},
                 "reservoir": PIPELINE_KEYS["reservoir"] - {"file", "modes"}}
     _check_keys(cfg, keys, task)
-    base_seed = _number(cfg, "seed", 0 if args.seed is None else args.seed, integer=True)
+    base_seed = _number(cfg, "seed", args.seed or 0, integer=True, minimum=0)
     train_count = _number(cfg, "counts.train", 60, integer=True)
     test_count = _number(cfg, "counts.test", 15, integer=True, minimum=1)
     trajectories = _number(cfg, "trajectories", 2000, integer=True)

@@ -36,8 +36,8 @@ cannot see the source (the cascade factorization of Gardiner, PRL 70, 2269,
 1993 and Carmichael, PRL 70, 2273, 1993), so relax_ensemble integrates that
 phase once and run_ensemble(relaxed=...) resumes from it at injection.
 
-Reproducibility: trajectory i of an ensemble seeded b draws its noise from an
-own PCG64 stream seeded by b + (i,), in order, alpha's noise from the first N
+Reproducibility: trajectory i of an ensemble seeded b draws its noise from its
+own stream, model.generator(b + (i,)), in order, alpha's noise from the first N
 of each step's 2N draws (a slab's length bounds memory and changes no draw);
 ensemble reduction runs over fixed 512-trajectory blocks combined in index
 order, so results are bit-identical regardless of how work is partitioned.
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .model import ReservoirSpec, checked_number
+from .model import ReservoirSpec, checked_number, generator, seed_key
 from .observables import OccupationSeries, csv_text, occupation
 from .sampler import PhaseSampleSet, vacuum_samples
 
@@ -191,17 +191,9 @@ def _step_arrays(coeffs: _PhaseCoeffs, tau: float, pair, sources, noise):
 # ensemble integration
 
 
-def _seed_base(seed) -> tuple:
-    if seed is None:
-        return (np.random.SeedSequence().entropy,)
-    if isinstance(seed, tuple):
-        return tuple(int(v) for v in seed)
-    return (int(seed),)
-
-
 def _trajectory_generators(base: tuple, start: int, count: int):
-    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(base + (i,))))
-            for i in range(start, start + count)]
+    """The streams of trajectories start .. start + count - 1 under key `base`."""
+    return [generator(base + (i,)) for i in range(start, start + count)]
 
 
 class _BlockRun:
@@ -296,6 +288,7 @@ def evolve_trajectory(initial: PhaseSamplePair, spec: ReservoirSpec, schedule: S
                       seed=None, index: int = 0) -> TrajectoryRecord:
     """Integrate a single trajectory; equals trajectory `index` of run_ensemble
     under the same root seed."""
+    index = checked_number(index, "trajectory index", integer=True, minimum=0)
     pair0 = np.array([initial.alpha, initial.alpha_tilde], dtype=complex).reshape(2, 1, -1)
     if pair0.shape[2] != spec.n_modes:
         raise ConfigError(
@@ -303,7 +296,7 @@ def evolve_trajectory(initial: PhaseSamplePair, spec: ReservoirSpec, schedule: S
     run = _BlockRun(
         spec, schedule, pair0,
         np.array([[initial.source], [initial.source_tilde]], dtype=complex),
-        _trajectory_generators(_seed_base(seed), index, 1),
+        _trajectory_generators(seed_key(seed), index, 1),
         keep_amplitudes=True).run()
     diverged = not run.alive[0]
     return TrajectoryRecord(
@@ -320,15 +313,13 @@ class RelaxedStart:
     holds the relaxation-phase occupations (None if no trajectory survived).
     """
 
-    alpha: np.ndarray                 # (S, N) complex
-    alpha_tilde: np.ndarray           # (S, N) complex
+    pair: np.ndarray                  # (2, S, N) complex, alpha over alpha_tilde
     alive: np.ndarray                 # (S,) bool
     series: OccupationSeries | None
 
 
 def _vacuum_start(trajectories: int, n_modes: int) -> RelaxedStart:
-    vacuum = np.zeros((trajectories, n_modes), dtype=complex)
-    return RelaxedStart(alpha=vacuum, alpha_tilde=vacuum,
+    return RelaxedStart(pair=np.zeros((2, trajectories, n_modes), dtype=complex),
                         alive=np.ones(trajectories, dtype=bool), series=None)
 
 
@@ -339,8 +330,8 @@ def _block_runs(spec, schedule, initial: RelaxedStart, sources0, base: tuple,
     for lo in range(0, total, BLOCK_TRAJECTORIES):
         hi = min(lo + BLOCK_TRAJECTORIES, total)
         yield _BlockRun(
-            spec, schedule, np.stack([initial.alpha[lo:hi], initial.alpha_tilde[lo:hi]]),
-            sources0[:, lo:hi], _trajectory_generators(base, lo, hi - lo),
+            spec, schedule, initial.pair[:, lo:hi], sources0[:, lo:hi],
+            _trajectory_generators(base, lo, hi - lo),
             start=start, stop=stop, alive=initial.alive[lo:hi]).run()
 
 
@@ -402,11 +393,11 @@ def relax_ensemble(spec: ReservoirSpec, schedule: Schedule, trajectories: int,
     ends = []
     series = _ensemble_series(
         _block_runs(spec, schedule, vacuum, np.zeros((2, trajectories)),
-                    _seed_base(seed), 0, schedule.n_relax),
+                    seed_key(seed), 0, schedule.n_relax),
         schedule.times[:schedule.injection_index + 1], trajectories, schedule.t_relax, ends)
     alive = np.concatenate([a for _, a in ends])
     pair = np.where(alive[:, None], np.concatenate([p for p, _ in ends], axis=1), 0)
-    return RelaxedStart(alpha=pair[0], alpha_tilde=pair[1], alive=alive, series=series)
+    return RelaxedStart(pair=pair, alive=alive, series=series)
 
 
 def run_ensemble(spec: ReservoirSpec, source_samples: PhaseSampleSet, schedule: Schedule,
@@ -424,12 +415,12 @@ def run_ensemble(spec: ReservoirSpec, source_samples: PhaseSampleSet, schedule: 
     total = checked_number(len(source_samples), "trajectory count", integer=True, minimum=1)
     start = 0 if relaxed is None else schedule.n_relax
     initial = _vacuum_start(total, spec.n_modes) if relaxed is None else relaxed
-    if initial.alpha.shape != (total, spec.n_modes):
-        raise ConfigError(f"relaxed start has shape {initial.alpha.shape}, "
-                          f"expected ({total}, {spec.n_modes})")
+    if initial.pair.shape != (2, total, spec.n_modes):
+        raise ConfigError(f"relaxed start has shape {initial.pair.shape}, "
+                          f"expected (2, {total}, {spec.n_modes})")
     runs = _block_runs(spec, schedule, initial,
                        np.stack([source_samples.alpha, source_samples.alpha_tilde]),
-                       _seed_base(seed), start, schedule.n_total)
+                       seed_key(seed), start, schedule.n_total)
     series = _ensemble_series(runs, schedule.times[start // schedule.record_stride:],
                               total, schedule.t_relax)
     if series is None:
@@ -478,7 +469,7 @@ def stability_scan(f_values, *, kerr_values=None, loss_values=None,
     other = np.asarray(kerr_values if scanning_kerr else loss_values, dtype=float)
     if f_values.ndim != 1 or other.ndim != 1 or not f_values.size or not other.size:
         raise ConfigError("scan axes must be non-empty 1-d arrays")
-    base = _seed_base(seed)
+    base = seed_key(seed)
     steps = _exact_steps(horizon, dt, "horizon")
     schedule = Schedule(t_relax=0.0, t_final=horizon, dt=dt, record_stride=steps)
     vacuum = vacuum_samples(trajectories)

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .dynamics import (RelaxedStart, Schedule, relax_ensemble, run_ensemble,
-                       _pool_starmap, _seed_base)
+from .dynamics import RelaxedStart, Schedule, relax_ensemble, run_ensemble, _pool_starmap
 from .errors import ConfigError, DivergenceError
-from .model import ReservoirSpec, checked_number
+from .model import ReservoirSpec, checked_number, generator, seed_key
 from .observables import FeatureRecord, csv_text, feature_vector, steady_occupations
 from .sampler import StateSpec, sample_state
 
@@ -64,6 +63,7 @@ class Hyperparams:
         checked_number(self.epochs, "epochs", integer=True, minimum=1)
         if self.batch_size is not None:
             checked_number(self.batch_size, "batch size", integer=True, minimum=1)
+        seed_key(self.seed, "readout seed")
 
 
 CLASSIFY_HYPERPARAMS = Hyperparams(learning_rate=5e-4, epochs=10_000, batch_size=None)
@@ -315,7 +315,7 @@ def _train(kind: str, dataset: Dataset, y_train: np.ndarray, y_test: np.ndarray,
     xs_train = (x_train - mean) / std
     xs_test = (dataset.features("test") - mean) / std
 
-    rng = np.random.default_rng(hyper.seed)
+    rng = generator(seed_key(hyper.seed, "readout seed"))
     weights = 0.01 * rng.standard_normal((y_train.shape[1], x_train.shape[1]))
     bias = np.zeros(y_train.shape[1])
     opt = _Adam([weights, bias], hyper)
@@ -394,13 +394,9 @@ def evaluate(model: ReadoutModel, dataset: Dataset, split: str = "test") -> Metr
         pred = model.predict_class(x)
         k = len(dataset.classes)
         counts = np.zeros((k, k), dtype=int)
-        for t, p in zip(true, pred):
-            counts[t, p] += 1
-        row_total = counts.sum(axis=1)
-        norm = np.zeros((k, k))
-        for j in range(k):
-            if row_total[j]:
-                norm[j] = counts[j] / row_total[j]
+        np.add.at(counts, (true, pred), 1)
+        row_total = counts.sum(axis=1, keepdims=True)
+        norm = np.divide(counts, row_total, out=np.zeros((k, k)), where=row_total > 0)
         return Metrics(kind="classify", accuracy=float(np.mean(pred == true)),
                        confusion_counts=counts, confusion=norm)
     zeta = dataset.targets(split)
@@ -467,7 +463,7 @@ def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
         raise ConfigError(f"unknown task {task!r}")
     checked_number(train_count, "train_count", integer=True, minimum=1)
     checked_number(test_count, "test_count", integer=True, minimum=0)
-    base = _seed_base(seed)
+    base = seed_key(seed)
     relaxed = relax_ensemble(spec, schedule, trajectories, seed=base + (3,))
     labels = CLASS_NAMES if task == "classify" else ("squeezed_vacuum",)
     per_label = train_count + test_count
@@ -475,9 +471,7 @@ def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
     train_idx, test_idx = [], []
     for c, label in enumerate(labels):
         for i in range(per_label):
-            param_rng = np.random.default_rng(
-                np.random.SeedSequence(base + (0, c, i)))
-            state, target = _draw_state(task, label, param_rng)
+            state, target = _draw_state(task, label, generator(base + (0, c, i)))
             (train_idx if i < train_count else test_idx).append(len(plans))
             plans.append((spec, schedule, relaxed, state, label, target, trajectories,
                           base + (1, c, i), base + (2, c, i)))

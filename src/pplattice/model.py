@@ -194,7 +194,7 @@ class ReservoirSpec:
                 input_weights=_checked_floats(data["input_weights"], "input_weights"),
                 eta=checked_number(data["eta"], "eta"),
                 seed=None if data.get("seed") is None
-                else checked_number(data["seed"], "seed", integer=True),
+                else checked_number(data["seed"], "seed", integer=True, minimum=0),
             )
         except (KeyError, TypeError, ValueError) as exc:   # ConfigError is a ValueError
             raise ConfigError(f"malformed reservoir dictionary: {exc}") from exc
@@ -234,6 +234,24 @@ def checked_number(value, name: str, *, integer: bool = False, minimum=None):
                       f"{'' if minimum is None else f' >= {minimum}'}, got {value!r}")
 
 
+def seed_key(seed, name: str = "seed") -> tuple:
+    """The entropy key that `generator` turns into a random stream.
+
+    The one rule for a seed: None draws fresh entropy; an integer >= 0 is a
+    key of one entry, and a tuple or list one entry per item, each an
+    integer >= 0 by checked_number.  Index a key by appending to it.
+    """
+    if seed is None:
+        return (np.random.SeedSequence().entropy,)
+    parts = seed if isinstance(seed, (tuple, list)) else (seed,)
+    return tuple(checked_number(part, name, integer=True, minimum=0) for part in parts)
+
+
+def generator(key: tuple) -> np.random.Generator:
+    """The PCG64 stream of an entropy key from seed_key (not checked again)."""
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
 def _checked_floats(values, name: str) -> np.ndarray:
     """A float array of `values`, each entry read by checked_number."""
     return np.array([checked_number(x, name) for x in values], dtype=float)
@@ -255,7 +273,7 @@ def build_reservoir(shape: LatticeShape, *, kerr: float, drive: complex | np.nda
     """
     n = shape.n_modes
     edges = lattice_edges(shape)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = generator(seed_key(seed))
 
     detuning = rng.uniform(*DETUNING_RANGE, size=n)
     hopping = np.zeros((n, n))

@@ -156,25 +156,17 @@ def _pure_coefficients(state: StateSpec, count: int) -> np.ndarray:
     """Unnormalized Fock coefficients c_0..c_{count-1} of a pure input state."""
     n = np.arange(count)
     logfact = _log_factorial(n)
-    if state.kind == "coherent":
+    if state.kind in ("coherent", "cat"):
         mag = abs(state.beta)
         if mag == 0.0:
             coeff = np.zeros(count, dtype=complex)
             coeff[0] = 1.0
-            return coeff
-        log_mag = n * math.log(mag) - 0.5 * logfact
-        phase = np.angle(state.beta) * n
-        return np.exp(log_mag) * np.exp(1j * phase)
-    if state.kind == "cat":
-        mag = abs(state.beta)
-        if mag == 0.0:
-            coeff = np.zeros(count, dtype=complex)
-            coeff[0] = 1.0 + np.exp(1j * state.cat_phase)
-            return coeff
-        log_mag = n * math.log(mag) - 0.5 * logfact
-        phase = np.exp(1j * np.angle(state.beta) * n)
-        branch = 1.0 + np.exp(1j * state.cat_phase) * (-1.0) ** n
-        return np.exp(log_mag) * phase * branch
+        else:
+            log_mag = n * math.log(mag) - 0.5 * logfact
+            coeff = np.exp(log_mag) * np.exp(1j * np.angle(state.beta) * n)
+        if state.kind == "cat":     # |beta> + e^{i phase} |-beta>
+            coeff = coeff * (1.0 + np.exp(1j * state.cat_phase) * (-1.0) ** n)
+        return coeff
     if state.kind == "squeezed_vacuum":
         coeff = np.zeros(count, dtype=complex)
         if state.r == 0.0:

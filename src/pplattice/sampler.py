@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ConfigError
-from .model import checked_number
+from .model import checked_number, generator, seed_key
 
 STATE_KINDS = ("coherent", "thermal", "squeezed_vacuum", "cat")
 SAMPLE_MAGIC = "#PPSAMPLES v1"
@@ -187,7 +187,7 @@ def sample_thermal(nbar: float, count: int, seed=None) -> PhaseSampleSet:
     """Thermal state: alpha = alpha_tilde, complex Gaussian with <|alpha|^2> = nbar."""
     _check_count(count)
     state = thermal_state(nbar)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = generator(seed_key(seed))
     g = rng.standard_normal((2, count))
     row = math.sqrt(state.nbar / 2.0) * (g[0] + 1j * g[1])
     return PhaseSampleSet(alpha=row, alpha_tilde=row.copy(), state=state, seed=seed)
@@ -205,7 +205,7 @@ def sample_squeezed_vacuum(r: float, theta: float, count: int, seed=None) -> Pha
     """
     _check_count(count)
     state = squeezed_state(r, theta)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = generator(seed_key(seed))
     q = rng.standard_normal((4, count))
     delta = (q[0] + 1j * q[1]) / math.sqrt(2.0)
     nu = (math.sqrt(math.exp(-r) * math.cosh(r) / 2.0) * q[2]
@@ -263,7 +263,7 @@ def sample_cat(beta, cat_phase: float, count: int, seed=None) -> PhaseSampleSet:
     _check_count(count)
     state = cat_state(beta, cat_phase)
     rate = _cat_weight(state.beta, cat_phase) / 2.0
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = generator(seed_key(seed))
     alphas, alpha_tildes = [], []
     need = count
     while need > 0:

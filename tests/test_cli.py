@@ -97,6 +97,20 @@ def test_gen_reservoir_negative_kerr_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("command", ["gen-reservoir", "sample-state"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    state = write_yaml(tmp_path / "state.yaml", {"kind": "thermal", "nbar": 0.5})
+    args = {"gen-reservoir": ["--modes", "2", "--kerr", "0.1"],
+            "sample-state": ["--state", state, "--count", "8"]}[command]
+    code, out, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"), "--seed", "-1",
+                             command, *args)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "seed must be an integer >= 0, got -1" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
 # -- sample-state ------------------------------------------------------------
 
 def test_sample_state_coherent_rows_are_identical(tmp_path, capsys):
@@ -263,6 +277,7 @@ def test_simulate_non_finite_duration_exits_2(tmp_path, capsys):
     # a fraction or a boolean where a number is read is refused, not truncated
     ({"rows": 1.7}, "rows must be an integer"),
     ({"seed": 3.9}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be an integer >= 0"),
     ({"rows": True}, "rows must be an integer"),
     ({"kerr": True}, "kerr must be a number"),
     # so is text or a boolean inside an array field or a drive pair
@@ -270,7 +285,7 @@ def test_simulate_non_finite_duration_exits_2(tmp_path, capsys):
     ({"loss": [1.0, True]}, "loss must be a number"),
     ({"drive": [[0.5, True], [0.5, 0.0]]}, "drive must be a number"),
 ], ids=["missing", "unparsable", "not_a_mapping", "word_rows", "drive_not_a_pair",
-        "word_kerr", "ragged_hopping", "fractional_rows", "fractional_seed",
+        "word_kerr", "ragged_hopping", "fractional_rows", "fractional_seed", "negative_seed",
         "boolean_rows", "boolean_kerr", "text_loss", "boolean_loss", "boolean_drive"])
 def test_simulate_bad_reservoir_file_exits_2(tmp_path, capsys, content, message):
     good, samples = simulate_setup(tmp_path, capsys)
@@ -714,6 +729,12 @@ SCAN = {"f": {"start": 0.0, "stop": 2.0, "count": 3},
      "reservoir.kerr"),
     # text is refused even when it spells a number
     ("pipeline", {**MICRO_CLASSIFY, "schedule": {"dt": "0.05"}}, "schedule.dt"),
+    # a seed is an integer >= 0 (or a list of them), never truncated or passed on
+    ("pipeline", {**MICRO_CLASSIFY, "seed": -1}, "seed"),
+    ("pipeline", {**MICRO_CLASSIFY, "reservoir": {"modes": 2, "kerr": 0.05, "seed": 2.5}},
+     "seed"),
+    ("pipeline", {**MICRO_CLASSIFY, "reservoir": {"modes": 2, "kerr": 0.05, "seed": -1}},
+     "seed"),
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, config, key):
     path = write_yaml(tmp_path / "config.yaml", config)

@@ -229,13 +229,13 @@ def slab_outputs(monkeypatch, steps):
         resumed = run_ensemble(spec, samples, schedule, seed=(6,), relaxed=relaxed)
     budget(1)
     record = evolve_trajectory(
-        PhaseSamplePair(alpha=relaxed.alpha[7], alpha_tilde=relaxed.alpha_tilde[7],
+        PhaseSamplePair(alpha=relaxed.pair[0, 7], alpha_tilde=relaxed.pair[1, 7],
                         source=complex(samples.alpha[7]),
                         source_tilde=complex(samples.alpha_tilde[7])),
         spec, schedule, seed=8, index=7)
     monkeypatch.undo()
     assert 0 < resumed.divergence_fraction < 0.5
-    return [relaxed.alpha, relaxed.alpha_tilde, relaxed.alive, relaxed.series.mean,
+    return [relaxed.pair[0], relaxed.pair[1], relaxed.alive, relaxed.series.mean,
             relaxed.series.stderr, resumed.mean, resumed.stderr,
             [resumed.divergence_fraction], record.alpha, record.alpha_tilde, record.source]
 
@@ -357,8 +357,8 @@ def test_vacuum_relaxed_start_is_bit_identical_to_plain_run():
     schedule = Schedule(t_relax=0.0, t_final=2.0, dt=0.05, record_stride=4)
     count = 600                                   # two reduction blocks
     samples = sample_coherent(0.8 + 0.3j, count)
-    vacuum = np.zeros((count, spec.n_modes), dtype=complex)
-    start = RelaxedStart(alpha=vacuum, alpha_tilde=vacuum,
+    vacuum = np.zeros((2, count, spec.n_modes), dtype=complex)
+    start = RelaxedStart(pair=vacuum,
                          alive=np.ones(count, dtype=bool), series=None)
     plain = run_ensemble(spec, samples, schedule, seed=(9, 2))
     resumed = run_ensemble(spec, samples, schedule, seed=(9, 2), relaxed=start)
@@ -367,7 +367,7 @@ def test_vacuum_relaxed_start_is_bit_identical_to_plain_run():
     assert resumed.divergence_fraction == plain.divergence_fraction
     assert resumed.injection_time == plain.injection_time == 0.0
     relaxed = relax_ensemble(spec, schedule, count, seed=1)
-    assert np.array_equal(relaxed.alpha, vacuum) and relaxed.alive.all()
+    assert np.array_equal(relaxed.pair, vacuum) and relaxed.alive.all()
 
 
 def test_resumed_run_continues_the_relaxation():
@@ -412,13 +412,11 @@ def test_trajectories_lost_while_relaxing_count_as_diverged():
     relaxed = relax_ensemble(spec, schedule, 8, seed=0)
     alive = relaxed.alive.copy()
     alive[[1, 5]] = False
-    alpha = np.where(alive[:, None], relaxed.alpha, 0)
-    partly = RelaxedStart(alpha=alpha, alpha_tilde=alpha, alive=alive,
-                          series=relaxed.series)
+    pair = np.where(alive[:, None], relaxed.pair, 0)
+    partly = RelaxedStart(pair=pair, alive=alive, series=relaxed.series)
     series = run_ensemble(spec, samples, schedule, seed=3, relaxed=partly)
     assert series.divergence_fraction == 2 / 8
-    dead = RelaxedStart(alpha=alpha, alpha_tilde=alpha, alive=np.zeros(8, dtype=bool),
-                        series=None)
+    dead = RelaxedStart(pair=pair, alive=np.zeros(8, dtype=bool), series=None)
     with pytest.raises(DivergenceError):
         run_ensemble(spec, samples, schedule, seed=3, relaxed=dead)
     with pytest.raises(ConfigError):
@@ -432,7 +430,7 @@ def test_relaxation_without_survivors_has_no_series(monkeypatch):
     relaxed = relax_ensemble(spec, schedule, 10, seed=0)
     assert relaxed.series is None
     assert not relaxed.alive.any()
-    assert np.all(relaxed.alpha == 0) and np.all(relaxed.alpha_tilde == 0)
+    assert np.all(relaxed.pair == 0)
 
 
 # -- divergence handling -----------------------------------------------------------
@@ -485,6 +483,15 @@ def test_infinite_threshold_keeps_every_trajectory(monkeypatch):
     schedule = Schedule(t_relax=1.0, t_final=1.0, dt=0.05, record_stride=4)
     series = run_ensemble(spec, vacuum_samples(8), schedule, seed=0)
     assert series.divergence_fraction == 0.0
+
+
+@pytest.mark.parametrize("index", [2.5, -1, True])
+def test_bad_trajectory_index_is_refused(index):
+    spec = build_single_mode(drive=1.0, kerr=0.1, loss=1.0)
+    schedule = Schedule(t_relax=0.0, t_final=0.5, dt=0.05, record_stride=10)
+    start = PhaseSamplePair(alpha=np.zeros(1, complex), alpha_tilde=np.zeros(1, complex))
+    with pytest.raises(ConfigError, match=r"^trajectory index must be an integer >= 0"):
+        evolve_trajectory(start, spec, schedule, seed=0, index=index)
 
 
 @pytest.mark.parametrize("workers", [0, -1, True])

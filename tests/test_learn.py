@@ -254,6 +254,10 @@ def test_confusion_matrix_rows_are_exact_distributions():
     metrics = evaluate(model, dataset, "test")
     counts = metrics.confusion_counts
     assert counts.dtype.kind == "i"
+    loop = np.zeros((3, 3), dtype=int)     # the per-record count, as reference
+    for t, p in zip(dataset.class_indices("test"), model.predict_class(dataset.features("test"))):
+        loop[t, p] += 1
+    assert np.array_equal(counts, loop)
     assert counts.sum() == len(dataset.test_indices)
     for j in range(3):
         row_total = int(counts[j].sum())
@@ -262,6 +266,14 @@ def test_confusion_matrix_rows_are_exact_distributions():
         assert metrics.confusion[j].sum() == pytest.approx(1.0, abs=1e-12)
     text = metrics.confusion_csv(dataset.classes)
     assert text.startswith("true\\predicted,cat,squeezed_vacuum,coherent")
+    # a class with no test records keeps a zero row
+    no_cat = Dataset(task="classify", records=dataset.records,
+                     train_indices=dataset.train_indices,
+                     test_indices=dataset.test_indices[5:], classes=dataset.classes)
+    partial = evaluate(model, no_cat, "test")
+    assert not partial.confusion_counts[0].any() and not partial.confusion[0].any()
+    assert np.array_equal(partial.confusion_counts[1:], counts[1:])
+    assert np.array_equal(partial.confusion[1:], metrics.confusion[1:])
 
 
 def test_perfect_regression_predictions_give_zero_mse():

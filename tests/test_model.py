@@ -1,11 +1,17 @@
-"""Lattice geometry, hopping normalization, and reservoir serialization."""
+"""Lattice geometry, hopping normalization, reservoir serialization, and the
+number and seed rules."""
 
 import numpy as np
 import pytest
 
+from pplattice import dynamics
+from pplattice.dynamics import (Schedule, build_single_mode, relax_ensemble, run_ensemble,
+                                stability_scan)
 from pplattice.errors import ConfigError
+from pplattice.learn import Hyperparams, generate_dataset
 from pplattice.model import (LatticeShape, build_reservoir, checked_number, lattice_edges,
-                             load_reservoir, shape_for_modes, spectral_radius)
+                             load_reservoir, seed_key, shape_for_modes, spectral_radius)
+from pplattice.sampler import cat_state, sample_state, thermal_state, vacuum_samples
 
 
 def test_shape_for_modes_square_or_chain():
@@ -143,3 +149,50 @@ def test_checked_number_message_names_the_rule():
         checked_number(0, "workers", integer=True, minimum=1)
     with pytest.raises(ConfigError, match=r"^dt must be a number, got '0.05'$"):
         checked_number("0.05", "dt")
+
+
+# -- seeds ----------------------------------------------------------------------
+
+TINY = Schedule(t_relax=0.5, t_final=0.5, dt=0.05, record_stride=10)
+SINGLE = build_single_mode(drive=1.0, kerr=0.1, loss=1.0, input_weight=0.5)
+
+# every public entry point that turns a seed into random numbers
+SEED_USERS = {
+    "run_ensemble": lambda seed: run_ensemble(SINGLE, vacuum_samples(4), TINY, seed=seed),
+    "relax_ensemble": lambda seed: relax_ensemble(SINGLE, TINY, 4, seed=seed),
+    "sample_thermal": lambda seed: sample_state(thermal_state(0.5), 4, seed=seed),
+    "sample_cat": lambda seed: sample_state(cat_state(1.2), 4, seed=seed),
+    "build_reservoir": lambda seed: build_reservoir(shape_for_modes(2), kerr=0.1, seed=seed),
+    "stability_scan": lambda seed: stability_scan([1.0], kerr_values=[0.1], trajectories=4,
+                                                  horizon=0.5, seed=seed),
+    "generate_dataset": lambda seed: generate_dataset("classify", SINGLE, TINY, train_count=1,
+                                                      test_count=0, trajectories=4, seed=seed),
+    "Hyperparams": lambda seed: Hyperparams(seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, (1, -2)],
+                         ids=["negative", "fractional", "boolean", "negative_part"])
+@pytest.mark.parametrize("user", sorted(SEED_USERS))
+def test_every_seed_user_refuses_a_bad_seed(monkeypatch, user, seed):
+    # refused before anything is integrated, never truncated or passed to NumPy
+    def never(self):
+        raise AssertionError("integrated with a refused seed")
+    monkeypatch.setattr(dynamics._BlockRun, "run", never)
+    with pytest.raises(ConfigError, match=r"seed must be an integer >= 0, got "):
+        SEED_USERS[user](seed)
+
+
+def test_equivalent_seeds_draw_the_same_numbers():
+    # an integer seed and its one-entry key are one stream, NumPy integers included
+    assert seed_key(5) == seed_key((5,)) == seed_key([5]) == seed_key(np.int64(5)) == (5,)
+    assert seed_key((3, np.int64(4))) == (3, 4)
+    assert len(seed_key(None)) == 1 and seed_key(None) != seed_key(None)
+    spec = build_reservoir(shape_for_modes(2), kerr=0.08, drive=0.5, seed=3)
+    outputs = []
+    for seed in (5, (5,), np.int64(5)):
+        samples = sample_state(cat_state(1.2), 64, seed=seed)
+        series = run_ensemble(spec, samples, TINY, seed=seed)
+        outputs.append([a.tobytes() for a in (samples.alpha, samples.alpha_tilde,
+                                              series.mean, series.stderr)])
+    assert outputs[0] == outputs[1] == outputs[2]
