@@ -30,7 +30,7 @@ from .learn import (BASELINE_PAIR_CONFUSED_ACCURACY, BASELINE_UNIFORM_ACCURACY,
                     evaluate, generate_dataset, train_classifier,
                     train_regressor)
 from .model import (ReservoirSpec, build_reservoir, checked_number, load_reservoir, load_yaml,
-                    shape_for_modes)
+                    seed_key, shape_for_modes)
 from .observables import csv_text
 from .oracle import (build_state_fock, composite_dimension, evolve_master, vacuum_density,
                      wigner_grid)
@@ -73,7 +73,10 @@ class RunManifest:
     outputs: list = field(default_factory=list)
 
     def output(self, name: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use output directory {self.out_dir}: {exc}") from None
         self.outputs.append(name)
         return self.out_dir / name
 
@@ -479,6 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:      # refused even by the commands that draw nothing
+            seed_key(args.seed)
         args.func(args)
     except (ConfigError, NumericsError) as exc:
         code = 2 if isinstance(exc, ConfigError) else 3

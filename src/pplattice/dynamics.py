@@ -36,16 +36,19 @@ cannot see the source (the cascade factorization of Gardiner, PRL 70, 2269,
 1993 and Carmichael, PRL 70, 2273, 1993), so relax_ensemble integrates that
 phase once and run_ensemble(relaxed=...) resumes from it at injection.
 
-Reproducibility: trajectory i of an ensemble seeded b draws its noise from its
-own stream, model.generator(b + (i,)), in order, alpha's noise from the first N
-of each step's 2N draws (a slab's length bounds memory and changes no draw);
+Reproducibility: trajectory i of an ensemble seeded b draws its noise from the
+stream model.generator(b + (i,)), in order, alpha's noise from the first N of
+each step's 2N draws (a slab's length bounds memory and changes no draw);
 ensemble reduction runs over fixed 512-trajectory blocks combined in index
 order, so results are bit-identical regardless of how work is partitioned.
 Dataset record (c, i) under root seed r samples its input from r + (1, c, i)
 and integrates its injection phase from r + (2, c, i); all records resume
 from one relaxation seeded r + (3,), so they share its Monte Carlo error
 (common random numbers) while each record's estimator keeps its
-distribution.
+distribution.  These keys are not all distinct streams: trajectory 0's key
+b + (0,) gives the same stream as b itself (model.seed_key), so a caller
+that draws from b too, such as oracle-compare sampling its input from its
+seed s while trajectory 0 integrates from (s, 0), reuses those draws.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import yaml
 from .dynamics import RelaxedStart, Schedule, relax_ensemble, run_ensemble, _pool_starmap
 from .errors import ConfigError, DivergenceError
 from .model import ReservoirSpec, checked_number, generator, seed_key
-from .observables import FeatureRecord, csv_text, feature_vector, steady_occupations
+from .observables import SPLITS, FeatureRecord, csv_text, feature_vector, steady_occupations
 from .sampler import StateSpec, sample_state
 
 CLASS_NAMES = ("cat", "squeezed_vacuum", "coherent")
@@ -160,7 +160,7 @@ class ReadoutModel:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature records with a train/test partition.
+    """Feature records, each in the train or the test split.
 
     task is "classify" (labels are class names, targets None) or
     "predict_squeezing" (every label is squeezed_vacuum, targets are the
@@ -169,66 +169,47 @@ class Dataset:
 
     task: str
     records: tuple[FeatureRecord, ...]
-    train_indices: tuple[int, ...]
-    test_indices: tuple[int, ...]
-    classes: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.task not in ("classify", "predict_squeezing"):
             raise ConfigError(f"unknown task {self.task!r}")
-        total = len(self.records)
-        seen = set(self.train_indices) | set(self.test_indices)
-        if len(self.train_indices) + len(self.test_indices) != len(seen):
-            raise ConfigError("train and test splits overlap")
-        if any(i < 0 or i >= total for i in seen):
-            raise ConfigError("split index out of range")
-        if self.task == "classify":
-            if not self.classes:
-                raise ConfigError("classification dataset needs class names")
-            unknown = {r.label for r in self.records} - set(self.classes)
-            if unknown:
-                raise ConfigError(f"records carry labels outside the class list: {unknown}")
+        unknown = {r.label for r in self.records} - set(self.classes)
+        if self.task == "classify" and unknown:
+            raise ConfigError(f"records carry labels outside the class list: {unknown}")
+
+    @property
+    def classes(self) -> tuple[str, ...]:
+        return CLASS_NAMES if self.task == "classify" else ()
 
     @property
     def n_features(self) -> int:
         return self.records[0].features.shape[0] if self.records else 0
 
-    def indices(self, split: str) -> tuple[int, ...]:
-        if split == "train":
-            return self.train_indices
-        if split == "test":
-            return self.test_indices
-        raise ConfigError(f"split must be 'train' or 'test', got {split!r}")
+    def _records(self, split: str) -> list[FeatureRecord]:
+        """The records of `split`, in dataset order."""
+        if split not in SPLITS:
+            raise ConfigError(f"split must be 'train' or 'test', got {split!r}")
+        return [r for r in self.records if r.split == split]
 
     def features(self, split: str) -> np.ndarray:
-        idx = self.indices(split)
-        if not idx:
-            return np.zeros((0, self.n_features))
-        return np.array([self.records[i].features for i in idx], dtype=float)
+        rows = [r.features for r in self._records(split)]
+        return np.array(rows, dtype=float) if rows else np.zeros((0, self.n_features))
 
     def one_hot(self, split: str) -> np.ndarray:
         if self.task != "classify":
             raise ConfigError("one-hot labels only exist for the classification task")
-        idx = self.indices(split)
-        out = np.zeros((len(idx), len(self.classes)))
-        lookup = {name: j for j, name in enumerate(self.classes)}
-        for row, i in enumerate(idx):
-            out[row, lookup[self.records[i].label]] = 1.0
+        records = self._records(split)
+        out = np.zeros((len(records), len(self.classes)))
+        for row, rec in enumerate(records):
+            out[row, self.classes.index(rec.label)] = 1.0
         return out
-
-    def class_indices(self, split: str) -> np.ndarray:
-        return np.argmax(self.one_hot(split), axis=1)
 
     def targets(self, split: str) -> np.ndarray:
         if self.task != "predict_squeezing":
             raise ConfigError("complex targets only exist for the regression task")
-        idx = self.indices(split)
-        values = []
-        for i in idx:
-            t = self.records[i].target
-            if t is None:
-                raise ConfigError(f"record {i} has no regression target")
-            values.append(t)
+        values = [r.target for r in self._records(split)]
+        if None in values:
+            raise ConfigError(f"a {split} record has no regression target")
         return np.asarray(values, dtype=complex)
 
     def to_csv(self) -> str:
@@ -236,13 +217,11 @@ class Dataset:
         cols = ["split", "label", "target_re", "target_im", "divergence_fraction",
                 "flagged", "kind", "beta_re", "beta_im", "nbar", "r", "theta",
                 "cat_phase"] + [f"f{j}" for j in range(n_feat)]
-        split_of = {**dict.fromkeys(self.train_indices, "train"),
-                    **dict.fromkeys(self.test_indices, "test")}
         rows = [cols]
-        for i, rec in enumerate(self.records):
+        for rec in self.records:
             s = rec.state
             t = rec.target if rec.target is not None else complex("nan")
-            rows.append([split_of.get(i, "unused"), rec.label, t.real, t.imag,
+            rows.append([rec.split, rec.label, t.real, t.imag,
                          rec.divergence_fraction, rec.flagged, s.kind, s.beta.real,
                          s.beta.imag, s.nbar, s.r, s.theta, s.cat_phase, *rec.features])
         return csv_text(["#task", self.task, ",".join(self.classes)], rows)
@@ -332,9 +311,12 @@ def _train(kind: str, dataset: Dataset, y_train: np.ndarray, y_test: np.ndarray,
         if not math.isfinite(loss):
             raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
         opt.step([gw, gb])
+        out = xs_train @ weights.T + bias
+        if not np.all(np.isfinite(out)):    # caught here, before softmax refuses it
+            raise DivergenceError(f"readout output became non-finite at epoch {epoch}")
 
         curves["train_loss"][epoch] = loss
-        curves["train_score"][epoch] = score(xs_train @ weights.T + bias, y_train)
+        curves["train_score"][epoch] = score(out, y_train)
         if xs_test.shape[0]:
             out = xs_test @ weights.T + bias
             test = curves["test_score"][epoch] = score(out, y_test)
@@ -349,8 +331,6 @@ def train_classifier(dataset: Dataset, hyper: Hyperparams = CLASSIFY_HYPERPARAMS
     """Softmax readout trained with Adam; returns (model, curves)."""
     if dataset.task != "classify":
         raise ConfigError("train_classifier needs a classification dataset")
-    if len(dataset.classes) < 2:
-        raise ConfigError("classification needs at least two classes")
     return _train("classify", dataset, dataset.one_hot("train"), dataset.one_hot("test"),
                   hyper, classifier_loss_and_grad, _accuracy,
                   lambda out, y: cross_entropy(softmax(out), y), classes=dataset.classes)
@@ -372,7 +352,6 @@ def train_regressor(dataset: Dataset, hyper: Hyperparams = REGRESS_HYPERPARAMS):
 class Metrics:
     """Evaluation results; confusion rows follow the dataset class order."""
 
-    kind: str
     accuracy: float | None = None
     confusion_counts: np.ndarray | None = None     # (k, k) ints, rows = true
     confusion: np.ndarray | None = None            # row-normalized
@@ -390,19 +369,19 @@ def evaluate(model: ReadoutModel, dataset: Dataset, split: str = "test") -> Metr
     if not len(x):
         raise ConfigError(f"the {split} split has no records to evaluate")
     if model.kind == "classify":
-        true = dataset.class_indices(split)
+        true = np.argmax(dataset.one_hot(split), axis=1)
         pred = model.predict_class(x)
         k = len(dataset.classes)
         counts = np.zeros((k, k), dtype=int)
         np.add.at(counts, (true, pred), 1)
         row_total = counts.sum(axis=1, keepdims=True)
         norm = np.divide(counts, row_total, out=np.zeros((k, k)), where=row_total > 0)
-        return Metrics(kind="classify", accuracy=float(np.mean(pred == true)),
+        return Metrics(accuracy=float(np.mean(pred == true)),
                        confusion_counts=counts, confusion=norm)
     zeta = dataset.targets(split)
     pred = model.predict_complex(x)
     sq = np.abs(zeta - pred) ** 2
-    return Metrics(kind="regress", mse=float(sq.mean()), squared_errors=sq)
+    return Metrics(mse=float(sq.mean()), squared_errors=sq)
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +407,20 @@ def _draw_state(task: str, label: str, rng: np.random.Generator) -> tuple[StateS
 
 
 def _one_record(spec: ReservoirSpec, schedule: Schedule, relaxed: RelaxedStart,
-                state: StateSpec, label: str, target, trajectories: int, sample_seed,
-                run_seed) -> FeatureRecord:
+                state: StateSpec, label: str, split: str, target, trajectories: int,
+                sample_seed, run_seed) -> FeatureRecord:
     samples = sample_state(state, trajectories, seed=sample_seed)
     try:
         series = run_ensemble(spec, samples, schedule, seed=run_seed, relaxed=relaxed)
     except DivergenceError:
         return FeatureRecord(features=np.zeros(spec.n_modes), label=label,
-                             state=state, target=target,
+                             split=split, state=state, target=target,
                              divergence_fraction=1.0, flagged=True)
     # a survivor here survived the relaxation, so relaxed.series exists
     steady = steady_occupations(relaxed.series)
     features = feature_vector(series, steady)
     frac = float(series.divergence_fraction)
-    return FeatureRecord(features=features, label=label, state=state,
+    return FeatureRecord(features=features, label=label, split=split, state=state,
                          target=target, divergence_fraction=frac,
                          flagged=frac > FLAG_DIVERGENCE_FRACTION)
 
@@ -468,14 +447,10 @@ def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
     labels = CLASS_NAMES if task == "classify" else ("squeezed_vacuum",)
     per_label = train_count + test_count
     plans = []
-    train_idx, test_idx = [], []
     for c, label in enumerate(labels):
         for i in range(per_label):
             state, target = _draw_state(task, label, generator(base + (0, c, i)))
-            (train_idx if i < train_count else test_idx).append(len(plans))
-            plans.append((spec, schedule, relaxed, state, label, target, trajectories,
+            plans.append((spec, schedule, relaxed, state, label,
+                          "train" if i < train_count else "test", target, trajectories,
                           base + (1, c, i), base + (2, c, i)))
-    records = _pool_starmap(_one_record, plans, workers)
-    return Dataset(task=task, records=tuple(records),
-                   train_indices=tuple(train_idx), test_indices=tuple(test_idx),
-                   classes=CLASS_NAMES if task == "classify" else ())
+    return Dataset(task=task, records=tuple(_pool_starmap(_one_record, plans, workers)))

@@ -88,9 +88,10 @@ def spectral_radius(matrix: np.ndarray) -> float:
 class ReservoirSpec:
     """Frozen description of one reservoir instance.
 
-    hopping is symmetric with unit spectral radius whenever the lattice has at
-    least one edge; eta caches sum(input_weights**2), the effective source
-    decay weight during injection.
+    edges are the lattice's nearest-neighbour edges; hopping is symmetric,
+    zero off those edges, and of unit spectral radius unless it is all zero;
+    eta caches sum(input_weights**2), the effective source decay weight
+    during injection.
     """
 
     rows: int
@@ -145,13 +146,18 @@ class ReservoirSpec:
             raise ConfigError("input weights must lie in [0, 1]")
         if float(np.sum(self.input_weights ** 2)) != self.eta:
             raise ConfigError("eta does not equal sum(input_weights**2)")
-        if self.edges and np.any(self.hopping != 0):
+        if self.edges != lattice_edges(LatticeShape(self.rows, self.cols)):
+            raise ConfigError(f"edges {list(self.edges)} are not the nearest-neighbour "
+                              f"edges of a {self.rows}x{self.cols} lattice")
+        off_edge = np.ones((n, n), dtype=bool)
+        for i, j in self.edges:
+            off_edge[i, j] = off_edge[j, i] = False
+        if np.any(self.hopping[off_edge] != 0):
+            raise ConfigError("hopping couples modes that share no lattice edge")
+        if np.any(self.hopping != 0):
             radius = spectral_radius(self.hopping)
             if abs(radius - 1.0) > 1e-10:
                 raise ConfigError(f"hopping spectral radius {radius!r} != 1 within 1e-10")
-        for i, j in self.edges:
-            if not (0 <= i < j < n):
-                raise ConfigError(f"bad edge ({i}, {j}) for {n} modes")
 
     # -- serialization ----------------------------------------------------
 
@@ -239,7 +245,9 @@ def seed_key(seed, name: str = "seed") -> tuple:
 
     The one rule for a seed: None draws fresh entropy; an integer >= 0 is a
     key of one entry, and a tuple or list one entry per item, each an
-    integer >= 0 by checked_number.  Index a key by appending to it.
+    integer >= 0 by checked_number.  Keys are indexed by appending to them,
+    but SeedSequence pads a key to four 32-bit words, so (k,) and (k, 0)
+    (and (k, 0, 0), (k, 0, 0, 0)) give one stream, as do (2**32,) and (0, 1).
     """
     if seed is None:
         return (np.random.SeedSequence().entropy,)

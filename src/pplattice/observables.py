@@ -30,6 +30,8 @@ from .sampler import StateSpec
 # the old name is only looked up where the new one is missing.
 trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
+SPLITS = ("train", "test")
+
 
 def csv_text(header, rows) -> str:
     """CSV text, one newline-terminated line for the header and for each row.
@@ -55,9 +57,8 @@ def occupation(alpha, alpha_tilde):
 class OccupationSeries:
     """Mean occupation per node over recorded times.
 
-    injection_time marks the start of the cascade phase (every ensemble sets
-    it, to 0 when there is no relaxation); the steady baseline and the
-    features need it.
+    injection_time marks the start of the cascade phase (0 when there is no
+    relaxation); the steady baseline and the features need it.
     """
 
     times: np.ndarray                 # (T,)
@@ -65,7 +66,7 @@ class OccupationSeries:
     stderr: np.ndarray                # (T, N)
     divergence_fraction: float
     n_trajectories: int
-    injection_time: float | None = None
+    injection_time: float
 
     def __post_init__(self):
         t = self.times.shape[0]
@@ -83,7 +84,7 @@ class OccupationSeries:
     # -- CSV schema ---------------------------------------------------------
     # header: time,mean_0,stderr_0,...,mean_{N-1},stderr_{N-1}
     # data rows, then footer rows labelled in column 0:
-    #   divergence_fraction, n_trajectories, injection_time (blank if unset)
+    #   divergence_fraction, n_trajectories, injection_time
 
     def to_csv(self) -> str:
         n = self.n_modes
@@ -91,10 +92,9 @@ class OccupationSeries:
         cells = np.stack([self.mean, self.stderr], axis=-1).reshape(len(self.times), -1)
         rows = [[t, *row] for t, row in zip(self.times, cells)]
         pad = [""] * (2 * n - 1)
-        inj = "" if self.injection_time is None else float(self.injection_time)
         rows += [["divergence_fraction", self.divergence_fraction, *pad],
                  ["n_trajectories", self.n_trajectories, *pad],
-                 ["injection_time", inj, *pad]]
+                 ["injection_time", float(self.injection_time), *pad]]
         return csv_text(header, rows)
 
 
@@ -106,17 +106,11 @@ def _window_rows(series: OccupationSeries, t_lo: float, t_hi: float) -> np.ndarr
     return mask
 
 
-def _injection_time(series: OccupationSeries) -> float:
-    if series.injection_time is None:
-        raise ConfigError("series has no injection time")
-    return float(series.injection_time)
-
-
 def steady_occupations(series: OccupationSeries) -> np.ndarray:
     """Average occupation per node over the last third of the relaxation
     phase, [2/3, 1] of the injection time: the steady baseline before the
     source opens."""
-    t_inj = _injection_time(series)
+    t_inj = series.injection_time
     return series.mean[_window_rows(series, 2.0 * t_inj / 3.0, t_inj)].mean(axis=0)
 
 
@@ -127,7 +121,7 @@ def feature_vector(series: OccupationSeries, steady: np.ndarray) -> np.ndarray:
     if steady.shape != (series.n_modes,):
         raise ConfigError(
             f"steady vector has shape {steady.shape}, expected ({series.n_modes},)")
-    mask = _window_rows(series, _injection_time(series), float(series.times[-1]))
+    mask = _window_rows(series, series.injection_time, float(series.times[-1]))
     t = series.times[mask]
     if t.shape[0] < 2:
         raise ConfigError("feature window needs at least two recorded times")
@@ -138,10 +132,11 @@ def feature_vector(series: OccupationSeries, steady: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FeatureRecord:
-    """One dataset record: features plus label/target and provenance."""
+    """One dataset record: features plus label/target, split and provenance."""
 
     features: np.ndarray          # (N,)
     label: str                    # class name, or "squeezed_vacuum" for regression
+    split: str                    # "train" or "test"
     state: StateSpec
     target: complex | None = None  # regression target, None for classification
     divergence_fraction: float = 0.0
@@ -150,3 +145,5 @@ class FeatureRecord:
     def __post_init__(self):
         if self.features.ndim != 1:
             raise ConfigError("features must be a 1-d vector")
+        if self.split not in SPLITS:
+            raise ConfigError(f"split must be 'train' or 'test', got {self.split!r}")

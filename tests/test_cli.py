@@ -97,18 +97,35 @@ def test_gen_reservoir_negative_kerr_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "ConfigError"
 
 
-@pytest.mark.parametrize("command", ["gen-reservoir", "sample-state"])
-def test_negative_seed_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("case", ["gen-reservoir", "sample-state", "sample-coherent",
+                                  "wigner"])
+def test_negative_seed_exits_2(tmp_path, capsys, case):
+    # a coherent sampler and wigner draw nothing, but a given seed is read anyway
     state = write_yaml(tmp_path / "state.yaml", {"kind": "thermal", "nbar": 0.5})
-    args = {"gen-reservoir": ["--modes", "2", "--kerr", "0.1"],
-            "sample-state": ["--state", state, "--count", "8"]}[command]
+    coherent = write_yaml(tmp_path / "coherent.yaml", {"kind": "coherent", "beta": [0.5, 0.0]})
+    argv = {"gen-reservoir": ["gen-reservoir", "--modes", "2", "--kerr", "0.1"],
+            "sample-state": ["sample-state", "--state", state, "--count", "8"],
+            "sample-coherent": ["sample-state", "--state", coherent, "--count", "8"],
+            "wigner": ["wigner", "--state", coherent, "--dim", "8", "--points", "3"]}[case]
     code, out, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"), "--seed", "-1",
-                             command, *args)
+                             *argv)
     assert code == 2
     record = json.loads(err)
     assert record["error"] == "ConfigError"
     assert "seed must be an integer >= 0, got -1" in record["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    code, _, err = run_cli(capsys, "--out-dir", str(taken),
+                           "gen-reservoir", "--modes", "2", "--kerr", "0.1")
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert f"output directory {taken}" in record["message"]
+    assert taken.read_text() == "keep"
 
 
 # -- sample-state ------------------------------------------------------------
@@ -193,6 +210,13 @@ def test_sample_state_missing_file_exits_2(tmp_path, capsys):
 
 
 # -- simulate ----------------------------------------------------------------
+
+# a 1x3 chain whose unit-radius hopping couples modes 0 and 2, which share no edge
+SKIPPING_CHAIN = {"rows": 1, "cols": 3, "edges": [[0, 1], [1, 2]],
+                  "hopping": [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                  "detuning": [0.0] * 3, "drive": [[0.5, 0.0]] * 3, "loss": [1.0] * 3,
+                  "input_weights": [0.0] * 3, "eta": 0.0}
+
 
 def simulate_setup(tmp_path, capsys, kerr="0.0", drive="0.5"):
     run_cli(capsys, "--out-dir", str(tmp_path), "--seed", "3",
@@ -284,9 +308,13 @@ def test_simulate_non_finite_duration_exits_2(tmp_path, capsys):
     ({"loss": ["1.0", 1.0]}, "loss must be a number"),
     ({"loss": [1.0, True]}, "loss must be a number"),
     ({"drive": [[0.5, True], [0.5, 0.0]]}, "drive must be a number"),
+    # edges that are not the lattice's, or hopping between modes that share none
+    ({"edges": [], "hopping": [[0.0, 5.0], [5.0, 0.0]]}, "nearest-neighbour edges"),
+    (SKIPPING_CHAIN, "share no lattice edge"),
 ], ids=["missing", "unparsable", "not_a_mapping", "word_rows", "drive_not_a_pair",
         "word_kerr", "ragged_hopping", "fractional_rows", "fractional_seed", "negative_seed",
-        "boolean_rows", "boolean_kerr", "text_loss", "boolean_loss", "boolean_drive"])
+        "boolean_rows", "boolean_kerr", "text_loss", "boolean_loss", "boolean_drive",
+        "no_edges", "hopping_off_edges"])
 def test_simulate_bad_reservoir_file_exits_2(tmp_path, capsys, content, message):
     good, samples = simulate_setup(tmp_path, capsys)
     reservoir = tmp_path / "bad.yaml"

@@ -25,29 +25,25 @@ def toy_dataset(task="classify", per_class_train=20, per_class_test=5, noise=0.0
                 seed=0):
     """Linearly separable fixture: features = one-hot(label) + small noise."""
     rng = np.random.default_rng(seed)
-    records, train_idx, test_idx = [], [], []
+    records = []
     for c, label in enumerate(CLASS_NAMES):
         for i in range(per_class_train + per_class_test):
             features = np.zeros(3)
             features[c] = 1.0
             features += noise * rng.standard_normal(3)
-            (train_idx if i < per_class_train else test_idx).append(len(records))
             records.append(FeatureRecord(features=features, label=label,
+                                         split="train" if i < per_class_train else "test",
                                          state=coherent_state(1.0)))
-    return Dataset(task=task, records=tuple(records), train_indices=tuple(train_idx),
-                   test_indices=tuple(test_idx), classes=CLASS_NAMES)
+    return Dataset(task=task, records=tuple(records))
 
 
 def regression_dataset(targets, features):
+    split = max(1, int(0.8 * len(targets)))
     records = [FeatureRecord(features=np.asarray(f, dtype=float),
-                             label="squeezed_vacuum",
+                             label="squeezed_vacuum", split="train" if k < split else "test",
                              state=squeezed_state(1.0), target=complex(t))
-               for f, t in zip(features, targets)]
-    n = len(records)
-    split = max(1, int(0.8 * n))
-    return Dataset(task="predict_squeezing", records=tuple(records),
-                   train_indices=tuple(range(split)),
-                   test_indices=tuple(range(split, n)))
+               for k, (f, t) in enumerate(zip(features, targets))]
+    return Dataset(task="predict_squeezing", records=tuple(records))
 
 
 # -- softmax and losses ------------------------------------------------------------
@@ -123,11 +119,9 @@ def test_zero_features_collapse_to_majority_class():
     records = []
     for label, count in (("cat", 4), ("squeezed_vacuum", 2), ("coherent", 2)):
         for _ in range(count):
-            records.append(FeatureRecord(features=np.zeros(2), label=label,
+            records.append(FeatureRecord(features=np.zeros(2), label=label, split="train",
                                          state=coherent_state(1.0)))
-    dataset = Dataset(task="classify", records=tuple(records),
-                      train_indices=tuple(range(8)), test_indices=(),
-                      classes=CLASS_NAMES)
+    dataset = Dataset(task="classify", records=tuple(records))
     model, _ = train_classifier(dataset, Hyperparams(learning_rate=0.05, epochs=300, seed=1))
     metrics = evaluate(model, dataset, "train")
     assert metrics.accuracy == 0.5  # majority class rate 4/8
@@ -173,7 +167,7 @@ def test_adam_converges_to_the_least_squares_readout():
     dataset = regression_dataset(targets, features)
     model, _ = train_regressor(dataset, Hyperparams(learning_rate=0.01, epochs=3000, seed=4))
     design = np.column_stack([model.transform(dataset.features("train")),
-                              np.ones(len(dataset.train_indices))])
+                              np.ones(len(dataset.features("train")))])
     z = dataset.targets("train")
     solution, *_ = np.linalg.lstsq(design, np.column_stack([z.real, z.imag]), rcond=None)
     assert np.max(np.abs(model.weights - solution[:-1].T)) < 1e-8
@@ -193,13 +187,17 @@ def test_constant_targets_converge_to_bias():
 
 def test_diverging_training_raises_with_epoch():
     # Adam steps are bounded by the learning rate, so forcing a non-finite
-    # loss needs a rate large enough to overflow the squared residuals
+    # loss needs a rate large enough to overflow the squared residuals, or
+    # the classifier's logits before softmax sees them
     rng = np.random.default_rng(5)
     features = rng.standard_normal((40, 2))
     targets = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     dataset = regression_dataset(targets, features)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="epoch"):
         train_regressor(dataset, Hyperparams(learning_rate=1e200, epochs=10, seed=0))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match="epoch"):
+        train_classifier(toy_dataset(), Hyperparams(learning_rate=1e308, epochs=10, seed=0))
 
 
 def test_hyperparameter_validation():
@@ -255,10 +253,11 @@ def test_confusion_matrix_rows_are_exact_distributions():
     counts = metrics.confusion_counts
     assert counts.dtype.kind == "i"
     loop = np.zeros((3, 3), dtype=int)     # the per-record count, as reference
-    for t, p in zip(dataset.class_indices("test"), model.predict_class(dataset.features("test"))):
-        loop[t, p] += 1
+    test_records = [r for r in dataset.records if r.split == "test"]
+    for r in test_records:
+        loop[CLASS_NAMES.index(r.label), model.predict_class(r.features[None])[0]] += 1
     assert np.array_equal(counts, loop)
-    assert counts.sum() == len(dataset.test_indices)
+    assert counts.sum() == len(test_records)
     for j in range(3):
         row_total = int(counts[j].sum())
         assert row_total == 5
@@ -267,9 +266,8 @@ def test_confusion_matrix_rows_are_exact_distributions():
     text = metrics.confusion_csv(dataset.classes)
     assert text.startswith("true\\predicted,cat,squeezed_vacuum,coherent")
     # a class with no test records keeps a zero row
-    no_cat = Dataset(task="classify", records=dataset.records,
-                     train_indices=dataset.train_indices,
-                     test_indices=dataset.test_indices[5:], classes=dataset.classes)
+    no_cat = Dataset(task="classify", records=tuple(
+        r for r in dataset.records if not (r.split == "test" and r.label == "cat")))
     partial = evaluate(model, no_cat, "test")
     assert not partial.confusion_counts[0].any() and not partial.confusion[0].any()
     assert np.array_equal(partial.confusion_counts[1:], counts[1:])
@@ -343,11 +341,11 @@ def small_classify_dataset(small_reservoir, small_schedule):
 def test_generated_dataset_is_balanced(small_classify_dataset):
     dataset = small_classify_dataset
     assert len(dataset.records) == 9
-    assert len(dataset.train_indices) == 6
-    assert len(dataset.test_indices) == 3
+    assert sum(r.split == "train" for r in dataset.records) == 6
+    assert sum(r.split == "test" for r in dataset.records) == 3
     for label in CLASS_NAMES:
         assert sum(r.label == label for r in dataset.records) == 3
-    train_labels = [dataset.records[i].label for i in dataset.train_indices]
+    train_labels = [r.label for r in dataset.records if r.split == "train"]
     for label in CLASS_NAMES:
         assert train_labels.count(label) == 2
 
@@ -451,13 +449,10 @@ def test_dataset_generation_relaxes_once(monkeypatch, small_reservoir, small_sch
 
 
 def test_split_validation():
-    record = FeatureRecord(features=np.zeros(1), label="cat", state=coherent_state(1.0))
-    with pytest.raises(ConfigError):
-        Dataset(task="classify", records=(record,), train_indices=(0,),
-                test_indices=(0,), classes=CLASS_NAMES)
-    with pytest.raises(ConfigError):
-        Dataset(task="classify", records=(record,), train_indices=(1,),
-                test_indices=(), classes=CLASS_NAMES)
-    with pytest.raises(ConfigError):
-        Dataset(task="classify", records=(record,), train_indices=(0,),
-                test_indices=(), classes=())
+    # a record is in the train or the test split, and a dataset reads no other
+    for split in ("unused", "", None):
+        with pytest.raises(ConfigError, match="split must be 'train' or 'test'"):
+            FeatureRecord(features=np.zeros(1), label="cat", split=split,
+                          state=coherent_state(1.0))
+    with pytest.raises(ConfigError, match="split must be 'train' or 'test'"):
+        toy_dataset().features("unused")

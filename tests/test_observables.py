@@ -7,7 +7,7 @@ import pytest
 
 from pplattice.dynamics import Schedule, StabilityScan, build_single_mode, run_ensemble
 from pplattice.errors import ConfigError
-from pplattice.learn import CLASS_NAMES, Dataset, Metrics, TrainingCurves
+from pplattice.learn import Dataset, Metrics, TrainingCurves
 from pplattice.model import build_reservoir, shape_for_modes
 from pplattice.observables import (FeatureRecord, OccupationSeries, csv_text,
                                    feature_vector, occupation, steady_occupations,
@@ -18,7 +18,7 @@ from pplattice.sampler import cat_state, coherent_state, squeezed_state, vacuum_
 SUBNORMAL = 5e-324
 
 
-def synthetic_series(times, mean, injection_time=None, stderr=None):
+def synthetic_series(times, mean, injection_time, stderr=None):
     mean = np.asarray(mean, dtype=float)
     if mean.ndim == 1:
         mean = mean[:, None]
@@ -136,19 +136,14 @@ def test_window_validation():
                        np.array([1.0]))                 # injection after the last time
     with pytest.raises(ConfigError):
         feature_vector(series, np.array([1.0, 2.0]))    # steady shape mismatch
-    bare = synthetic_series(times, np.ones(21))
-    for call in (lambda: steady_occupations(bare),
-                 lambda: feature_vector(bare, np.array([1.0]))):
-        with pytest.raises(ConfigError, match="no injection time"):
-            call()                                      # no injection marker
 
 
 def test_feature_record_validation():
-    record = FeatureRecord(features=np.array([0.1, 0.2]), label="cat",
+    record = FeatureRecord(features=np.array([0.1, 0.2]), label="cat", split="train",
                            state=coherent_state(1.0))
     assert record.features.shape == (2,)
     with pytest.raises(ConfigError):
-        FeatureRecord(features=np.zeros((2, 2)), label="cat",
+        FeatureRecord(features=np.zeros((2, 2)), label="cat", split="train",
                       state=coherent_state(1.0))
 
 
@@ -176,12 +171,9 @@ def test_occupation_series_csv_text():
         "divergence_fraction,0.25,,,\n"
         "n_trajectories,8,,,\n"
         "injection_time,0.5,,,\n")
-    unsplit = OccupationSeries(times=np.array([0.0]), mean=np.array([[1.0]]),
-                               stderr=np.array([[0.0]]), divergence_fraction=0.0,
-                               n_trajectories=1)
-    assert unsplit.to_csv() == ("time,mean_0,stderr_0\n0.0,1.0,0.0\n"
-                                "divergence_fraction,0.0,\nn_trajectories,1,\n"
-                                "injection_time,,\n")
+    with pytest.raises(TypeError, match="injection_time"):     # every series has one
+        OccupationSeries(times=np.array([0.0]), mean=np.array([[1.0]]),
+                         stderr=np.array([[0.0]]), divergence_fraction=0.0, n_trajectories=1)
 
 
 def test_stability_scan_csv_text():
@@ -194,14 +186,13 @@ def test_stability_scan_csv_text():
 
 def test_dataset_csv_text():
     records = (
-        FeatureRecord(features=np.array([1.5, -0.0]), label="cat",
+        FeatureRecord(features=np.array([1.5, -0.0]), label="cat", split="test",
                       state=cat_state(1.25, math.pi)),
-        FeatureRecord(features=np.array([SUBNORMAL, 2.0]), label="coherent",
+        FeatureRecord(features=np.array([SUBNORMAL, 2.0]), label="coherent", split="train",
                       state=coherent_state(0.5 - 0.25j), divergence_fraction=0.125,
                       flagged=True),
     )
-    dataset = Dataset(task="classify", records=records, train_indices=(1,),
-                      test_indices=(0,), classes=CLASS_NAMES)
+    dataset = Dataset(task="classify", records=records)
     assert dataset.to_csv() == (
         "#task,classify,cat,squeezed_vacuum,coherent\n"
         "split,label,target_re,target_im,divergence_fraction,flagged,kind,beta_re,"
@@ -209,9 +200,8 @@ def test_dataset_csv_text():
         "test,cat,nan,0.0,0.0,0,cat,1.25,0.0,0.0,0.0,0.0,3.141592653589793,1.5,-0.0\n"
         "train,coherent,nan,0.0,0.125,1,coherent,0.5,-0.25,0.0,0.0,0.0,0.0,5e-324,2.0\n")
     regression = Dataset(task="predict_squeezing", records=(FeatureRecord(
-        features=np.array([0.75]), label="squeezed_vacuum",
-        state=squeezed_state(1.0, 0.25), target=complex(0.5, -0.0)),), train_indices=(0,),
-        test_indices=())
+        features=np.array([0.75]), label="squeezed_vacuum", split="train",
+        state=squeezed_state(1.0, 0.25), target=complex(0.5, -0.0)),))
     assert regression.to_csv().splitlines()[0::2] == [
         "#task,predict_squeezing,",
         "train,squeezed_vacuum,0.5,-0.0,0.0,0,squeezed_vacuum,0.0,0.0,0.0,1.0,0.25,0.0,0.75"]
@@ -232,7 +222,7 @@ def test_training_curves_csv_text():
 
 
 def test_confusion_csv_text():
-    metrics = Metrics(kind="classify", accuracy=0.75,
+    metrics = Metrics(accuracy=0.75,
                       confusion=np.array([[1.0, -0.0], [0.25, 0.75]]))
     assert metrics.confusion_csv(("cat", "coherent")) == (
         "true\\predicted,cat,coherent\ncat,1.0,-0.0\ncoherent,0.25,0.75\n")
