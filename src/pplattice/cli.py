@@ -1,6 +1,7 @@
 """Command-line front end: reproducible experiment pipelines.
 
-Every subcommand writes its outputs plus a run manifest (YAML) holding the
+Every subcommand writes its outputs through the run manifest that `main`
+opens, and `main` saves the manifest (YAML) once the command returns: the
 config snapshot, all seeds, package versions, timestamps, and sha256 digests
 of the produced files, which together pin the outputs bit-for-bit.  Errors
 are emitted as one-line JSON records on stderr; exit code 2 marks a
@@ -61,33 +62,39 @@ def _versions() -> dict:
 class RunManifest:
     """Everything needed to reproduce the run's outputs bit-for-bit.
 
-    `output` hands out the path of an output file in `out_dir` and registers
-    it; `save` records the sha256 of every registered file as it is on disk.
+    `cli.main` makes one per run and saves it once the command returns; the
+    command fills in `config` and `seeds` and writes each output through
+    `write`, which records the sha256 of the bytes it wrote.
     """
 
     command: str
     out_dir: Path
-    config: dict
-    seeds: dict
+    config: dict = field(default_factory=dict)
+    seeds: dict = field(default_factory=dict)
     started: str = field(default_factory=_utc_now)
-    outputs: list = field(default_factory=list)
+    outputs: dict = field(default_factory=dict)      # file name -> sha256
 
-    def output(self, name: str) -> Path:
+    def write(self, name: str, data: str | bytes) -> Path:
+        """Write output `name` in `out_dir` and register it; ConfigError
+        naming the path if the directory or the file cannot be written."""
+        data = data.encode() if isinstance(data, str) else data
+        path = self.out_dir / name
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
         except OSError as exc:
-            raise ConfigError(f"cannot use output directory {self.out_dir}: {exc}") from None
-        self.outputs.append(name)
-        return self.out_dir / name
+            raise ConfigError(f"cannot write {path} in output directory {self.out_dir}: "
+                              f"{exc}") from None
+        self.outputs[name] = hashlib.sha256(data).hexdigest()
+        return path
 
-    def save(self, name: str):
+    def save(self, name: str) -> None:
         """Write `<name>.manifest.yaml` next to the outputs."""
         body = {"command": self.command, "config": self.config,
                 "seeds": self.seeds, "versions": _versions(),
                 "started": self.started, "finished": _utc_now(),
-                "outputs": {n: hashlib.sha256((self.out_dir / n).read_bytes()).hexdigest()
-                            for n in self.outputs}}
-        (self.out_dir / f"{name}.manifest.yaml").write_text(yaml.safe_dump(body, sort_keys=True))
+                "outputs": dict(self.outputs)}
+        self.write(f"{name}.manifest.yaml", yaml.safe_dump(body, sort_keys=True))
 
 
 def _block(cfg: dict, key: str) -> dict:
@@ -141,50 +148,39 @@ def _add_schedule_flags(sub, t_relax=15.0, t_final=10.0, dt=0.05, stride=4):
 # Subcommands
 
 
-def cmd_gen_reservoir(args) -> None:
-    manifest = RunManifest("gen-reservoir", args.out_dir,
-                           config={"modes": args.modes, "kerr": args.kerr,
-                                   "drive": args.drive, "loss": args.loss,
-                                   "source_loss": args.source_loss},
-                           seeds={"reservoir": args.seed})
+def cmd_gen_reservoir(args, manifest: RunManifest) -> None:
+    manifest.config = {"modes": args.modes, "kerr": args.kerr, "drive": args.drive,
+                       "loss": args.loss, "source_loss": args.source_loss}
+    manifest.seeds = {"reservoir": args.seed}
     spec = build_reservoir(shape_for_modes(args.modes), kerr=args.kerr,
                            drive=args.drive, loss=args.loss,
                            source_loss=args.source_loss, seed=args.seed)
-    spec_path = manifest.output(f"{args.name}.yaml")
-    spec_path.write_text(spec.dumps())
-    manifest.save(args.name)
-    print(f"wrote {spec_path} ({spec.n_modes} modes, kerr={args.kerr})")
+    path = manifest.write(f"{args.name}.yaml", spec.dumps())
+    print(f"wrote {path} ({spec.n_modes} modes, kerr={args.kerr})")
 
 
-def cmd_sample_state(args) -> None:
+def cmd_sample_state(args, manifest: RunManifest) -> None:
     state = _state_from_file(args.state)
-    manifest = RunManifest("sample-state", args.out_dir,
-                           config={"state": state.to_dict(), "count": args.count},
-                           seeds={"sampler": args.seed})
+    manifest.config = {"state": state.to_dict(), "count": args.count}
+    manifest.seeds = {"sampler": args.seed}
     samples = sample_state(state, args.count, seed=args.seed)
-    path = manifest.output(f"{args.name}.samples")
-    samples.save(path)
-    manifest.save(args.name)
+    path = manifest.write(f"{args.name}.samples", samples.to_bytes())
     print(f"wrote {path} ({args.count} samples of {state.kind})")
 
 
-def cmd_simulate(args) -> None:
+def cmd_simulate(args, manifest: RunManifest) -> None:
     spec = load_reservoir(args.reservoir)
     samples = load_samples(args.samples)
     schedule = _schedule_from_args(args)
-    manifest = RunManifest("simulate", args.out_dir,
-                           config={"reservoir": spec.to_dict(),
-                                   "schedule": vars(schedule).copy(),
-                                   "samples": str(args.samples)},
-                           seeds={"ensemble": args.seed})
+    manifest.config = {"reservoir": spec.to_dict(), "schedule": vars(schedule).copy(),
+                       "samples": str(args.samples)}
+    manifest.seeds = {"ensemble": args.seed}
     series = run_ensemble(spec, samples, schedule, seed=args.seed)
-    path = manifest.output(f"{args.name}.csv")
-    path.write_text(series.to_csv())
-    manifest.save(args.name)
+    path = manifest.write(f"{args.name}.csv", series.to_csv())
     print(f"wrote {path} (divergence fraction {series.divergence_fraction:.4f})")
 
 
-def cmd_stability_scan(args) -> None:
+def cmd_stability_scan(args, manifest: RunManifest) -> None:
     cfg = load_yaml(args.config)
     # `fixed` holds the parameter that is not scanned
     other, fixed = ("kerr", "loss") if "kerr" in cfg else ("loss", "kerr")
@@ -199,20 +195,17 @@ def cmd_stability_scan(args) -> None:
                   seed=args.seed, workers=args.workers, **{f"{other}_values": axes[other]})
     if fixed in _block(cfg, "fixed"):          # else stability_scan's default
         kwargs[fixed] = _number(cfg, f"fixed.{fixed}")
-    manifest = RunManifest("stability-scan", args.out_dir, config=cfg,
-                           seeds={"scan": args.seed})
+    manifest.config, manifest.seeds = cfg, {"scan": args.seed}
     scan = stability_scan(axes["f"], **kwargs)
-    path = manifest.output(f"{args.name}.csv")
-    path.write_text(scan.to_csv())
-    manifest.save(args.name)
+    path = manifest.write(f"{args.name}.csv", scan.to_csv())
     print(f"wrote {path} (min fraction {scan.fraction.min():.3f}, "
           f"max {scan.fraction.max():.3f})")
 
 
-def cmd_oracle_compare(args) -> None:
+def cmd_oracle_compare(args, manifest: RunManifest) -> None:
     spec = load_reservoir(args.reservoir)
     if spec.n_modes > ORACLE_MAX_MODES:
-        estimate = args.dim ** spec.n_modes * args.source_dim
+        estimate = args.dim ** spec.n_modes * (args.source_dim if args.state else 1)
         raise ConfigError(
             f"oracle comparison supports at most {ORACLE_MAX_MODES} modes; "
             f"{spec.n_modes} modes at d={args.dim} would need a composite "
@@ -220,14 +213,11 @@ def cmd_oracle_compare(args) -> None:
     composite_dimension((args.dim,) * spec.n_modes, args.source_dim if args.state else None)
     schedule = _schedule_from_args(args)
     state = _state_from_file(args.state) if args.state else None
-    manifest = RunManifest(
-        "oracle-compare", args.out_dir,
-        config={"reservoir": spec.to_dict(),
-                "state": state.to_dict() if state else None,
-                "schedule": vars(schedule).copy(), "dim": args.dim,
-                "source_dim": args.source_dim,
-                "trajectories": args.trajectories},
-        seeds={"sampler": args.seed, "ensemble": args.seed})
+    manifest.config = {"reservoir": spec.to_dict(),
+                       "state": state.to_dict() if state else None,
+                       "schedule": vars(schedule).copy(), "dim": args.dim,
+                       "source_dim": args.source_dim, "trajectories": args.trajectories}
+    manifest.seeds = {"sampler": args.seed, "ensemble": args.seed}
 
     if state is not None:
         samples = sample_state(state, args.trajectories, seed=args.seed)
@@ -244,10 +234,8 @@ def cmd_oracle_compare(args) -> None:
     header = ["time"] + [f"{col}_n{j}" for j in range(spec.n_modes)
                          for col in ("ppm", "oracle", "stderr")]
     cells = np.stack([series.mean, master.occupation, series.stderr], axis=-1)
-    path = manifest.output(f"{args.name}.csv")
-    path.write_text(csv_text(header, [[t, *row.ravel()]
-                                      for t, row in zip(series.times, cells)]))
-    manifest.save(args.name)
+    path = manifest.write(f"{args.name}.csv", csv_text(
+        header, [[t, *row.ravel()] for t, row in zip(series.times, cells)]))
     print(f"wrote {path}")
     print(f"max |ppm - oracle| = {diff.max():.3e}")
     if noisy.any():
@@ -257,21 +245,17 @@ def cmd_oracle_compare(args) -> None:
     print(f"oracle trace error = {master.trace_error:.3e}")
 
 
-def cmd_wigner(args) -> None:
+def cmd_wigner(args, manifest: RunManifest) -> None:
     state = _state_from_file(args.state)
-    manifest = RunManifest("wigner", args.out_dir,
-                           config={"state": state.to_dict(), "dim": args.dim,
-                                   "q": [args.q_min, args.q_max, args.points],
-                                   "p": [args.p_min, args.p_max, args.points]},
-                           seeds={})
+    manifest.config = {"state": state.to_dict(), "dim": args.dim,
+                       "q": [args.q_min, args.q_max, args.points],
+                       "p": [args.p_min, args.p_max, args.points]}
     rho = build_state_fock(state, args.dim)
     with np.errstate(invalid="ignore"):     # wigner_grid refuses a non-finite axis
         q = np.linspace(args.q_min, args.q_max, args.points)
         p = np.linspace(args.p_min, args.p_max, args.points)
     grid = wigner_grid(rho, q, p)
-    path = manifest.output(f"{args.name}.csv")
-    path.write_text(grid.to_csv())
-    manifest.save(args.name)
+    path = manifest.write(f"{args.name}.csv", grid.to_csv())
     print(f"wrote {path} (max W = {grid.values.max():.4f}, "
           f"min W = {grid.values.min():.4f})")
 
@@ -282,7 +266,7 @@ def cmd_wigner(args) -> None:
 
 def _pipeline_reservoir(cfg: dict, seed) -> ReservoirSpec:
     if "file" in cfg:
-        return load_reservoir(cfg["file"])
+        return ReservoirSpec.from_dict(load_yaml(cfg["file"], "reservoir.file"))
     for key in ("modes", "kerr"):
         if key not in cfg:
             raise ConfigError(f"reservoir config needs {key!r} (or a 'file' key)")
@@ -301,10 +285,9 @@ def _classify_runs(dataset, hyper: Hyperparams, run_seeds, prefix: str,
         model, curves = train_classifier(dataset, replace(hyper, seed=run_seed))
         metrics = evaluate(model, dataset, "test")
         tag = f"{prefix}run{k}"
-        manifest.output(f"model_{tag}.yaml").write_text(model.dumps())
-        manifest.output(f"curves_{tag}.csv").write_text(curves.to_csv())
-        manifest.output(f"confusion_{tag}.csv").write_text(
-            metrics.confusion_csv(dataset.classes))
+        manifest.write(f"model_{tag}.yaml", model.dumps())
+        manifest.write(f"curves_{tag}.csv", curves.to_csv())
+        manifest.write(f"confusion_{tag}.csv", metrics.confusion_csv(dataset.classes))
         accuracies.append(metrics.accuracy)
         print(f"{tag}: test accuracy {metrics.accuracy:.4f}")
     return accuracies
@@ -314,11 +297,11 @@ def _regress_run(dataset, hyper: Hyperparams, manifest: RunManifest) -> dict:
     """Train the squeezing readout; write its model, curves and test errors."""
     model, curves = train_regressor(dataset, hyper)
     metrics = evaluate(model, dataset, "test")
-    manifest.output("model.yaml").write_text(model.dumps())
-    manifest.output("curves.csv").write_text(curves.to_csv())
+    manifest.write("model.yaml", model.dumps())
+    manifest.write("curves.csv", curves.to_csv())
     zeta = dataset.targets("test")
     pred = model.predict_complex(dataset.features("test"))
-    manifest.output("squared_errors.csv").write_text(csv_text(
+    manifest.write("squared_errors.csv", csv_text(
         ["target_re", "target_im", "predicted_re", "predicted_im", "squared_error"],
         zip(zeta.real, zeta.imag, pred.real, pred.imag, metrics.squared_errors)))
     z_train = dataset.targets("train")
@@ -328,7 +311,7 @@ def _regress_run(dataset, hyper: Hyperparams, manifest: RunManifest) -> dict:
             "beats_mean_baseline": bool(metrics.mse < variance)}
 
 
-def cmd_pipeline(args) -> None:
+def cmd_pipeline(args, manifest: RunManifest) -> None:
     cfg = load_yaml(args.config)
     task = cfg.get("task")
     if task not in ("classify", "predict_squeezing", "classify_sweep"):
@@ -371,8 +354,7 @@ def cmd_pipeline(args) -> None:
                  for n in modes]
     else:
         sizes = [("dataset.csv", "", base_seed, _pipeline_reservoir(res_cfg, base_seed))]
-    manifest = RunManifest("pipeline", args.out_dir, config=cfg,
-                           seeds={"base": base_seed, "runs": run_seeds})
+    manifest.config, manifest.seeds = cfg, {"base": base_seed, "runs": run_seeds}
 
     summaries = []
     for dataset_name, prefix, seed, spec in sizes:
@@ -380,7 +362,7 @@ def cmd_pipeline(args) -> None:
             "predict_squeezing" if regress else "classify", spec, schedule,
             train_count=train_count, test_count=test_count,
             trajectories=trajectories, seed=seed, workers=args.workers)
-        manifest.output(dataset_name).write_text(dataset.to_csv())
+        manifest.write(dataset_name, dataset.to_csv())
         summary = {"dataset_hash": dataset.content_hash(),
                    "n_modes": spec.n_modes, "records": len(dataset.records),
                    "flagged": sum(1 for r in dataset.records if r.flagged)}
@@ -394,18 +376,17 @@ def cmd_pipeline(args) -> None:
 
     if sweep:
         metrics = {"task": task, "sizes": summaries}
-        manifest.output("accuracy_vs_n.csv").write_text(csv_text(
+        manifest.write("accuracy_vs_n.csv", csv_text(
             ["n_modes", "run", "accuracy"],
             [(s["n_modes"], k, a) for s in summaries for k, a in enumerate(s["accuracies"])]))
-        manifest.output("accuracy_vs_n_mean.csv").write_text(csv_text(
+        manifest.write("accuracy_vs_n_mean.csv", csv_text(
             ["n_modes", "mean_accuracy"], [(s["n_modes"], s["mean_accuracy"]) for s in summaries]))
     else:
         metrics = {"task": task, **summaries[0]}
     if not regress:
         metrics.update(baseline_uniform=BASELINE_UNIFORM_ACCURACY,
                        baseline_pair_confused=BASELINE_PAIR_CONFUSED_ACCURACY)
-    manifest.output("metrics.yaml").write_text(yaml.safe_dump(metrics, sort_keys=True))
-    manifest.save("pipeline")
+    manifest.write("metrics.yaml", yaml.safe_dump(metrics, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="dataset + training + metrics")
     p.add_argument("--config", required=True, help="YAML experiment config")
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=cmd_pipeline, name="pipeline")
 
     t = sub.add_parser("stability-scan", help="convergent-fraction grid")
     t.add_argument("--config", required=True, help="YAML scan config")
@@ -482,9 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None:      # refused even by the commands that draw nothing
+        # refused even by the commands that draw nothing or fan nothing out
+        if args.seed is not None:
             seed_key(args.seed)
-        args.func(args)
+        checked_number(args.workers, "workers", integer=True, minimum=1)
+        manifest = RunManifest(args.command, args.out_dir)
+        args.func(args, manifest)
+        manifest.save(args.name)
     except (ConfigError, NumericsError) as exc:
         code = 2 if isinstance(exc, ConfigError) else 3
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),

@@ -474,6 +474,8 @@ def stability_scan(f_values, *, kerr_values=None, loss_values=None,
         raise ConfigError("scan axes must be non-empty 1-d arrays")
     base = seed_key(seed)
     steps = _exact_steps(horizon, dt, "horizon")
+    if steps < 1:
+        raise ConfigError(f"horizon must be at least one step of dt={dt}, got {horizon}")
     schedule = Schedule(t_relax=0.0, t_final=horizon, dt=dt, record_stride=steps)
     vacuum = vacuum_samples(trajectories)
     plans = [(build_single_mode(drive=f_amp, kerr=(o if scanning_kerr else kerr),

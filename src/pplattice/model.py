@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,14 +211,26 @@ class ReservoirSpec:
         return yaml.safe_dump(self.to_dict(), sort_keys=True, default_flow_style=None)
 
 
-def load_yaml(path) -> dict:
-    """The mapping in YAML file `path`; ConfigError if the file is missing,
-    does not parse, or holds anything but a mapping."""
+def read_input(path, name: str = "path") -> bytes:
+    """The bytes of input file `path`; ConfigError naming `name` if `path` is
+    not a str or os.PathLike, and naming the path if the file is missing or
+    cannot be read (a directory, say)."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"{name} must be a file path, got {path!r}")
     try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except FileNotFoundError:
         raise ConfigError(f"file not found: {path}") from None
+    except (OSError, ValueError) as exc:     # ValueError: a NUL in the path
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
+def load_yaml(path, name: str = "path") -> dict:
+    """The mapping in YAML file `path` (read by read_input); ConfigError if
+    the file does not parse or holds anything but a mapping."""
+    try:
+        data = yaml.safe_load(read_input(path, name))
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     if not isinstance(data, dict):

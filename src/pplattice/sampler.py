@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ConfigError
-from .model import checked_number, generator, seed_key
+from .model import checked_number, generator, read_input, seed_key
 
 STATE_KINDS = ("coherent", "thermal", "squeezed_vacuum", "cat")
 SAMPLE_MAGIC = "#PPSAMPLES v1"
@@ -124,44 +124,37 @@ class PhaseSampleSet:
     # Text header (magic line, JSON line with state/seed/count), then raw
     # little-endian float64 rows (Re a, Im a, Re at, Im at).
 
-    def save(self, path):
+    def to_bytes(self) -> bytes:
         header = {
             "state": None if self.state is None else self.state.to_dict(),
             "seed": self.seed,
             "count": len(self),
         }
-        with open(path, "wb") as fh:
-            fh.write((SAMPLE_MAGIC + "\n").encode())
-            fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-            cols = np.column_stack([
-                self.alpha.real, self.alpha.imag,
-                self.alpha_tilde.real, self.alpha_tilde.imag,
-            ]).astype("<f8")
-            fh.write(cols.tobytes())
+        cols = np.column_stack([
+            self.alpha.real, self.alpha.imag,
+            self.alpha_tilde.real, self.alpha_tilde.imag,
+        ]).astype("<f8")
+        return f"{SAMPLE_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode() + cols.tobytes()
 
 
 def load_samples(path) -> PhaseSampleSet:
+    magic, _, rest = read_input(path).partition(b"\n")
+    header, _, raw = rest.partition(b"\n")
+    magic = magic.decode(errors="replace")
+    if magic != SAMPLE_MAGIC:
+        raise ConfigError(f"{path}: not a sample file (bad magic {magic!r})")
     try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise ConfigError(f"file not found: {path}") from None
-    with fh:
-        magic = fh.readline().decode(errors="replace").rstrip("\n")
-        if magic != SAMPLE_MAGIC:
-            raise ConfigError(f"{path}: not a sample file (bad magic {magic!r})")
-        try:
-            header = json.loads(fh.readline().decode())
-        except ValueError:
-            raise ConfigError(f"{path}: sample header is not JSON") from None
-        raw = np.frombuffer(fh.read(), dtype="<f8")
+        header = json.loads(header.decode())
+    except ValueError:
+        raise ConfigError(f"{path}: sample header is not JSON") from None
     if not isinstance(header, dict):
         raise ConfigError(f"{path}: sample header is not a JSON object")
     count = header.get("count")
     if not isinstance(count, int) or isinstance(count, bool):
         raise ConfigError(f"{path}: sample header needs an integer count, got {count!r}")
-    if raw.size != 4 * count:
-        raise ConfigError(f"{path}: expected {4 * count} values, found {raw.size}")
-    cols = raw.reshape(count, 4)
+    if len(raw) != 32 * count:
+        raise ConfigError(f"{path}: {count} samples take {32 * count} bytes, found {len(raw)}")
+    cols = np.frombuffer(raw, dtype="<f8").reshape(count, 4)
     state = None if header.get("state") is None else StateSpec.from_dict(header["state"])
     return PhaseSampleSet(
         alpha=cols[:, 0] + 1j * cols[:, 1],

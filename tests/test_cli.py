@@ -128,6 +128,33 @@ def test_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text() == "keep"
 
 
+@pytest.mark.parametrize("taken", ["reservoir.yaml", "reservoir.manifest.yaml"])
+def test_output_that_is_a_directory_exits_2(tmp_path, capsys, taken):
+    (tmp_path / "out" / taken).mkdir(parents=True)
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"),
+                           "gen-reservoir", "--modes", "2", "--kerr", "0.1")
+    assert code == 2
+    record = json.loads(err)        # one record, no traceback
+    assert record["error"] == "ConfigError"
+    assert f"cannot write {tmp_path / 'out' / taken}" in record["message"]
+    assert (tmp_path / "out" / taken).is_dir()
+
+
+@pytest.mark.parametrize("argv", [["gen-reservoir", "--modes", "2", "--kerr", "0.1"],
+                                  ["stability-scan", "--config", "scan.yaml"]],
+                         ids=["no_fan_out", "fan_out"])
+def test_zero_workers_exits_2(tmp_path, capsys, argv):
+    write_yaml(tmp_path / "scan.yaml", SCAN)
+    argv = [str(tmp_path / a) if a == "scan.yaml" else a for a in argv]
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"), "--workers", "0",
+                           *argv)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "workers must be an integer >= 1, got 0" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
 # -- sample-state ------------------------------------------------------------
 
 def test_sample_state_coherent_rows_are_identical(tmp_path, capsys):
@@ -203,10 +230,15 @@ def test_sample_state_non_numeric_field_exits_2(tmp_path, capsys, state, key):
 
 
 def test_sample_state_missing_file_exits_2(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path), "sample-state",
-                           "--state", str(tmp_path / "nope.yaml"), "--count", "5")
-    assert code == 2
-    assert "not found" in json.loads(err)["message"]
+    (tmp_path / "dir.yaml").mkdir()
+    for state, message in (("nope.yaml", "file not found: "), ("dir.yaml", "cannot read ")):
+        code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"), "sample-state",
+                               "--state", str(tmp_path / state), "--count", "5")
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"{message}{tmp_path / state}")
+    assert not (tmp_path / "out").exists()
 
 
 # -- simulate ----------------------------------------------------------------
@@ -334,8 +366,11 @@ def test_simulate_bad_reservoir_file_exits_2(tmp_path, capsys, content, message)
 def test_simulate_missing_or_empty_samples_exits_2(tmp_path, capsys):
     reservoir, _ = simulate_setup(tmp_path, capsys)
     empty = tmp_path / "empty.samples"
-    PhaseSampleSet(alpha=np.zeros(0, complex), alpha_tilde=np.zeros(0, complex)).save(empty)
+    empty.write_bytes(PhaseSampleSet(alpha=np.zeros(0, complex),
+                                     alpha_tilde=np.zeros(0, complex)).to_bytes())
+    (tmp_path / "dir.samples").mkdir()
     for samples, message in ((tmp_path / "nope.samples", "not found"),
+                             (tmp_path / "dir.samples", f"cannot read {tmp_path / 'dir.samples'}"),
                              (empty, "trajectory count")):
         code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "x"), "simulate",
                                "--reservoir", reservoir, "--samples", str(samples),
@@ -394,6 +429,17 @@ def test_stability_scan_zero_dt_exits_2(tmp_path, capsys):
     assert not (tmp_path / "stability.csv").exists()
 
 
+def test_stability_scan_zero_horizon_exits_2(tmp_path, capsys):
+    config = write_yaml(tmp_path / "scan.yaml", {**SCAN, "horizon": 0})
+    code, _, err = run_cli(capsys, "--out-dir", str(tmp_path),
+                           "stability-scan", "--config", config)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("horizon must be at least one step")
+    assert not (tmp_path / "stability.csv").exists()
+
+
 # -- oracle-compare ----------------------------------------------------------
 
 def test_oracle_compare_drive_only_matches_master_equation(tmp_path, capsys):
@@ -436,7 +482,8 @@ def test_oracle_compare_three_modes_exits_2(tmp_path, capsys):
                            "oracle-compare",
                            "--reservoir", str(tmp_path / "reservoir.yaml"))
     assert code == 2
-    assert "modes" in json.loads(err)["message"]
+    # no source is attached, so the estimate is 12**3 with no source factor
+    assert "3 modes at d=12 would need a composite dimension of 1728" in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("dim, message", [("70", "exceeds"), ("0", "truncation"),
@@ -808,6 +855,26 @@ def test_pipeline_sweep_refuses_a_reservoir_file(tmp_path, capsys):
     record = json.loads(err)
     assert record["error"] == "ConfigError"
     assert "reservoir.file" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("file", [0, 3, None])
+def test_pipeline_reservoir_file_that_is_not_a_path_exits_2(tmp_path, capsys, file):
+    # 0 would read the reservoir from stdin, which holds a valid one here
+    run_cli(capsys, "--out-dir", str(tmp_path), "--seed", "3",
+            "gen-reservoir", "--modes", "2", "--kerr", "0.05")
+    config = write_yaml(tmp_path / "experiment.yaml",
+                        {**MICRO_CLASSIFY, "reservoir": {"file": file}})
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "pplattice", "--out-dir", str(tmp_path / "out"),
+         "pipeline", "--config", config],
+        input=(tmp_path / "reservoir.yaml").read_text(),
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    record = json.loads(result.stderr)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("reservoir.file must be a file path")
     assert not (tmp_path / "out").exists()
 
 

@@ -282,7 +282,7 @@ def test_occupation_moment_is_real_within_errors(state):
 def test_sample_file_round_trip(tmp_path):
     samples = sample_state(cat_state(1.1, 0.4), 200, seed=31)
     path = tmp_path / "cat.samples"
-    samples.save(path)
+    path.write_bytes(samples.to_bytes())
     again = load_samples(path)
     assert np.array_equal(again.alpha, samples.alpha)
     assert np.array_equal(again.alpha_tilde, samples.alpha_tilde)
