@@ -1,7 +1,8 @@
 """Command-line front end: reproducible experiment pipelines.
 
 Every subcommand writes its outputs through the run manifest that `main`
-opens, and `main` saves the manifest (YAML) once the command returns: the
+opens; `main` refuses a manifest path that cannot be written before the
+command runs, and saves the manifest (YAML) once the command returns: the
 config snapshot, all seeds, package versions, timestamps, and sha256 digests
 of the produced files, which together pin the outputs bit-for-bit.  Errors
 are emitted as one-line JSON records on stderr; exit code 2 marks a
@@ -14,6 +15,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import os
 import platform
 import sys
 from dataclasses import dataclass, field, replace
@@ -87,6 +89,14 @@ class RunManifest:
                               f"{exc}") from None
         self.outputs[name] = hashlib.sha256(data).hexdigest()
         return path
+
+    def check_writable(self, name: str) -> None:
+        """ConfigError if `name` in `out_dir` is an existing directory or a
+        read-only file; writes nothing."""
+        path = self.out_dir / name
+        if path.is_dir() or (path.exists() and not os.access(path, os.W_OK)):
+            raise ConfigError(f"cannot write {path} in output directory {self.out_dir}: "
+                              "a directory or a read-only file has that name")
 
     def save(self, name: str) -> None:
         """Write `<name>.manifest.yaml` next to the outputs."""
@@ -468,6 +478,8 @@ def main(argv=None) -> int:
             seed_key(args.seed)
         checked_number(args.workers, "workers", integer=True, minimum=1)
         manifest = RunManifest(args.command, args.out_dir)
+        # refused before the command runs, so that no output is left unpinned
+        manifest.check_writable(f"{args.name}.manifest.yaml")
         args.func(args, manifest)
         manifest.save(args.name)
     except (ConfigError, NumericsError) as exc:

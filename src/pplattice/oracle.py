@@ -26,8 +26,12 @@ fixes the Taylor degree and substep count of every recording interval, and
 each series stops once further terms fall below unit roundoff relative to
 the propagated state.  Truncation is a backward error of unit roundoff on
 the state being propagated, not a certified operator-norm bound on the map.
-The generator is applied to Hermitian states only, in a form whose result
-is exactly Hermitian.
+Each state is stored and propagated as one real D x D matrix, its Q
+coordinates Q = Re rho + Im rho, from which rho = (Q + Q^T)/2 + i(Q - Q^T)/2
+is rebuilt.  Every real Q stands for a Hermitian rho, and the generator maps
+Hermitian matrices to Hermitian matrices, so it acts on Q as a real linear
+map L_Q (see `_LindbladOperator`): half the data of a complex state, and
+no anti-Hermitian part that roundoff could seed.
 
 Al-Mohy and Higham's shift L - mu I, mu = tr L / D^2, is left out.  It
 lowers the 1-norm, but the populated, slow modes of a Lindbladian sit at
@@ -47,10 +51,10 @@ per unit time at truncations of 30 levels, independent of step size; the
 1e-6 trace budget is gone by t of about 15).  The exact semigroup is a
 trace-norm contraction, so applying its action to roundoff accuracy keeps
 errors from compounding, and the only systematic error left is the
-Fock-space truncation itself.  Roundoff in the anti-Hermitian sector is
-not contracted by the map; the Hermitian application adds none, and every
-recorded state, and the state handed to the injection phase, is still
-projected onto its Hermitian part.
+Fock-space truncation itself.  Roundoff in the anti-Hermitian sector would
+not be contracted by the map; in Q coordinates that sector does not exist,
+and every recorded state, the state handed to the injection phase included,
+is rebuilt from Q and so is exactly Hermitian.
 
 SciPy's sparse module loads on first use inside the functions that need it,
 so importing the package and running the phase-space paths never pays for
@@ -283,30 +287,49 @@ def _generators(spec: ReservoirSpec, dims: tuple[int, ...], source_dim: int | No
 
 
 def _one_norm_bound(k_op, jumps) -> float:
-    """Upper bound on the 1-norm of L(rho) = K rho + rho K^dag + sum_j A_j rho A_j^dag.
+    """Upper bound on the 1-norm of L_Q, the generator in Q coordinates (see
+    `_LindbladOperator`), for K = Kr + i Ki and real jump operators A_j.
 
-    Column (k, l) of L, the image of |k><l|, sums to at most
-    |K_kk + conj(K_ll)| + c_k + c_l + sum_j a_jk a_jl (triangle inequality),
-    where c holds the off-diagonal column sums of |K| and a_j the column
-    sums of |A_j|.  O(D^2) work; no D^2 x D^2 object is formed.
+    Column (k, l) of L_Q, the image of the unit matrix E_kl, sums to at most
+    |Kr_kk + Kr_ll| + |Ki_kk - Ki_ll| + c_k + c_l + sum_j a_jk a_jl (triangle
+    inequality), where c holds the off-diagonal column sums of |Kr| and |Ki|
+    together and a_j the column sums of |A_j|.  O(D^2) work; no D^2 x D^2
+    object is formed.
     """
-    diag = k_op.diagonal()
-    off = np.asarray(abs(k_op).sum(axis=0)).ravel() - np.abs(diag)
+    kr, ki = k_op.real, k_op.imag
+    dr, di = kr.diagonal(), ki.diagonal()
+    off = np.asarray(abs(kr).sum(axis=0) + abs(ki).sum(axis=0)).ravel() \
+        - np.abs(dr) - np.abs(di)
     a = np.array([np.asarray(abs(op).sum(axis=0)).ravel() for op in jumps])
-    columns = np.abs(np.add.outer(diag, diag.conj())) + np.add.outer(off, off) + a.T @ a
+    columns = (np.abs(np.add.outer(dr, dr)) + np.abs(np.subtract.outer(di, di))
+               + np.add.outer(off, off) + a.T @ a)
     return float(columns.max())
 
 
-class _LindbladOperator:
-    """The generator L itself, unshifted (see the module docstring), on
-    Hermitian rho.
+def _hermitian(q: np.ndarray) -> np.ndarray:
+    """rho = (Q + Q^T)/2 + i(Q - Q^T)/2, Hermitian to the last bit: its
+    real part is symmetric and its imaginary part antisymmetric entry by
+    entry, whatever roundoff Q carries."""
+    rho = np.empty(q.shape, dtype=complex)
+    np.multiply(q + q.T, 0.5, out=rho.real)
+    np.multiply(q - q.T, 0.5, out=rho.imag)
+    return rho
 
-    `hermitian` applies L(rho) = K rho + rho K^dag + sum_j A_j rho A_j^dag
-    as Y + Y^dag, which is exactly Hermitian, with Y = K rho + (1/2) sum_j
-    A_j (A_j rho)^dag: two sparse products, [K; A_1; ...; A_N] on rho and
-    [A_1 ... A_N] on the daggered jump blocks, which go into a preallocated
-    C-ordered buffer since scipy copies a non-contiguous dense operand.
-    `norm` bounds the 1-norm of L.
+
+class _LindbladOperator:
+    """The generator L itself, unshifted (see the module docstring), acting
+    on the Q coordinates of a Hermitian state.
+
+    With K = Kr + i Ki and real jump operators A_j (loss rates and input
+    weights are real), L(rho) = K rho + rho K^dag + sum_j A_j rho A_j^T has
+    Q coordinates L_Q(Q) = Kr Q + Q Kr^T + Ki Q^T - Q^T Ki^T + sum_j A_j Q
+    A_j^T, a real map on real matrices, so every state it produces is
+    rebuilt exactly Hermitian.  `apply` evaluates it with two sparse
+    products: the real block operator [[Kr, Ki], [-Ki, Kr], [A_1, 0], ...]
+    on [Q; Q^T] gives G = Kr Q + Ki Q^T, H = Kr Q^T - Ki Q and M_j = A_j Q;
+    then H += [A_1 ... A_N] [M_1^T; ...; M_N^T] and L_Q(Q) = G + H^T.  The
+    transposed operands go into preallocated C-ordered buffers, since scipy
+    copies a non-contiguous dense operand.  `norm` bounds the 1-norm of L_Q.
     """
 
     def __init__(self, k_op, jumps):
@@ -314,35 +337,38 @@ class _LindbladOperator:
         d = k_op.shape[0]
         self.d = d
         self.norm = _one_norm_bound(k_op, jumps)
-        self.stacked = sparse.vstack([k_op] + jumps, format="csr")
-        self.side = 0.5 * sparse.hstack(jumps, format="csr")
-        self.jump_dag = np.empty((len(jumps), d, d), dtype=complex)
+        kr, ki = k_op.real, k_op.imag
+        jumps = [a.real for a in jumps]
+        self.stacked = sparse.bmat([[kr, ki], [-ki, kr]] + [[a, None] for a in jumps],
+                                   format="csr")
+        self.stacked.eliminate_zeros()
+        self.side = sparse.hstack(jumps, format="csr")
+        self.pair = np.empty((2 * d, d))
+        self.jump_t = np.empty((len(jumps), d, d))
 
-    def hermitian(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write L(rho) into `out`, a D x D buffer that is not rho, and return it.
-
-        Y^dag is written straight into `out` and Y added to it, so Y + Y^dag
-        needs no temporary.
-        """
-        left = self.stacked @ rho                 # K rho, then A_j rho
-        y, jumped = left[:self.d], left[self.d:].reshape(self.jump_dag.shape)
-        np.conjugate(jumped.transpose(0, 2, 1), out=self.jump_dag)
-        y += self.side @ self.jump_dag.reshape(-1, self.d)
-        np.conjugate(y.T, out=out)
-        out += y
-        return out
+    def apply(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write L_Q(q) into `out`, a D x D real buffer that is not q, and return it."""
+        d = self.d
+        self.pair[:d] = q
+        self.pair[d:] = q.T
+        left = self.stacked @ self.pair
+        g, h = left[:d], left[d:2 * d]
+        np.copyto(self.jump_t, left[2 * d:].reshape(self.jump_t.shape).transpose(0, 2, 1))
+        h += self.side @ self.jump_t.reshape(-1, d)
+        return np.add(g, h.T, out=out)
 
 
 def _phase_states(k_op, jumps, rho: np.ndarray, segment: float, count: int):
-    """Yield the Hermitian part of the state after each of `count` intervals.
+    """Yield the state after each of `count` intervals, rebuilt from Q; the
+    Hermitian part of `rho` is what is propagated.
 
-    The generator L and its closed-form 1-norm bound are built once per
+    The generator L_Q and its closed-form 1-norm bound are built once per
     phase; the bound sets the Taylor degree m and the substep count s of
     every interval (Al-Mohy & Higham 2011, Algorithm 3.2), so that
-    s >= segment |L|_1 / theta_m.  L is not shifted by tr L / D^2: the shift
-    would move the slow modes near eigenvalue 0 that carry the state and
-    lengthen every early-stopped series.  The terms alternate between two
-    buffers that `hermitian` writes into.
+    s >= segment |L_Q|_1 / theta_m.  L_Q is not shifted by its trace over
+    D^2: the shift would move the slow modes near eigenvalue 0 that carry
+    the state and lengthen every early-stopped series.  The terms alternate
+    between two real buffers that `apply` writes into.
     """
     if not count:
         return
@@ -350,14 +376,17 @@ def _phase_states(k_op, jumps, rho: np.ndarray, segment: float, count: int):
     degree, substeps = min(((m, max(1, math.ceil(segment * generator.norm / theta)))
                             for m, theta in TAYLOR_THETA.items()), key=math.prod)
     h = segment / substeps
-    rho = 0.5 * (rho + rho.conj().T)         # `hermitian` needs a Hermitian state
-    terms = (np.empty_like(rho), np.empty_like(rho))
+    # Q coordinates of rho's Hermitian part: Re rho + Im rho, bit for bit,
+    # when rho is Hermitian
+    re, im = rho.real, rho.imag
+    q = 0.5 * (re + re.T) + 0.5 * (im - im.T)
+    terms = (np.empty_like(q), np.empty_like(q))
     for _ in range(count):
         for _ in range(substeps):
-            total, term = rho.copy(), rho
+            total, term = q.copy(), q
             c1 = reach = np.abs(term).max()
             for j in range(1, degree + 1):
-                term = generator.hermitian(term, terms[j % 2])
+                term = generator.apply(term, terms[j % 2])
                 term *= h / j
                 c2 = np.abs(term).max()
                 total += term
@@ -369,9 +398,8 @@ def _phase_states(k_op, jumps, rho: np.ndarray, segment: float, count: int):
                         and c1 + c2 <= 2.0 ** -53 * np.abs(total).max()):
                     break
                 c1 = c2
-            rho = total
-        rho = 0.5 * (rho + rho.conj().T)
-        yield rho
+            q = total
+        yield _hermitian(q)
 
 
 @dataclass(frozen=True, eq=False)

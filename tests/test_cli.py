@@ -140,6 +140,28 @@ def test_output_that_is_a_directory_exits_2(tmp_path, capsys, taken):
     assert (tmp_path / "out" / taken).is_dir()
 
 
+@pytest.mark.parametrize("case", ["directory", "read_only"])
+def test_unwritable_manifest_is_refused_before_any_output(tmp_path, capsys, monkeypatch,
+                                                          case):
+    # the command never runs, so no output is left without the manifest
+    # that pins it
+    manifest = tmp_path / "out" / "reservoir.manifest.yaml"
+    if case == "directory":
+        manifest.mkdir(parents=True)
+    else:
+        manifest.parent.mkdir()
+        manifest.write_text("keep")
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: path != manifest)
+    code, out, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"),
+                             "gen-reservoir", "--modes", "2", "--kerr", "0.1")
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert f"cannot write {manifest}" in record["message"]
+    assert out == ""
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["reservoir.manifest.yaml"]
+
+
 @pytest.mark.parametrize("command", ["gen-reservoir", "stability-scan"])
 def test_zero_workers_exits_2(tmp_path, capsys, command):
     # gen-reservoir fans nothing out, but a given --workers is read anyway

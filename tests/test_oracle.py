@@ -142,34 +142,51 @@ def _superoperator(k_op, jumps) -> np.ndarray:
     return lsup
 
 
+def _q_superoperator(k_op, jumps) -> np.ndarray:
+    """The same map on row-major vec(Q), Q = Re rho + Im rho: the real
+    matrix taking Q through rho = ((1 + i) Q + (1 - i) Q^T) / 2 to Re + Im
+    of the image."""
+    lsup = _superoperator(k_op, jumps)
+    d = k_op.shape[0]
+    transpose = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    lq = lsup @ (0.5 * ((1 + 1j) * np.eye(d * d) + (1 - 1j) * transpose))
+    return lq.real + lq.imag
+
+
 def test_hermitian_application_matches_superoperator_and_is_hermitian():
     spec = build_reservoir(shape_for_modes(2), kerr=0.05, seed=42)
     k_op, jumps = _generators(spec, (3, 3), 4, f=1)
     op = _LindbladOperator(k_op, jumps)
-    lsup = _superoperator(k_op, jumps)
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(op.d, op.d)) + 1j * rng.normal(size=(op.d, op.d))
-    rho = x + x.conj().T
-    out = op.hermitian(rho, np.empty_like(rho))
-    expected = (lsup @ rho.reshape(-1)).reshape(rho.shape)
+    lsup = _q_superoperator(k_op, jumps)
+    q = np.random.default_rng(7).normal(size=(op.d, op.d))
+    out = op.apply(q, np.empty_like(q))
+    expected = (lsup @ q.reshape(-1)).reshape(q.shape)
     assert op.d == 36
     assert np.max(np.abs(out - expected)) < 1e-13 * np.max(np.abs(expected))
-    assert np.array_equal(out, out.conj().T)
+    rho = oracle._hermitian(out)
+    assert np.array_equal(rho, rho.conj().T)
 
 
 def test_one_norm_bound_is_the_generator_norm():
-    # the triangle-inequality bound never undershoots the exact 1-norm of L
-    # (up to summation-order roundoff), and on these generators it is tight
+    # the triangle-inequality bound never undershoots the exact 1-norm of L_Q
+    # (up to summation-order roundoff); on the real-drive generators it is
+    # tight, and a complex drive, whose K has real off-diagonal entries,
+    # loosens it by under 1 %
     spec = build_reservoir(shape_for_modes(2), kerr=0.05, seed=42)
     kerr = build_single_mode(drive=1.0, kerr=0.1, loss=1.0)
-    for k_op, jumps in (_generators(spec, (3, 3), None, f=0),
-                        _generators(spec, (3, 3), 4, f=1),
-                        _generators(kerr, (16,), None, f=0)):
+    complex_drive = build_single_mode(drive=0.6 + 0.8j, kerr=0.1, loss=1.0)
+    for (k_op, jumps), tight in ((_generators(spec, (3, 3), None, f=0), True),
+                                 (_generators(spec, (3, 3), 4, f=1), True),
+                                 (_generators(kerr, (16,), None, f=0), True),
+                                 (_generators(complex_drive, (16,), None, f=0), False)):
         op = _LindbladOperator(k_op, jumps)
         bound = _one_norm_bound(k_op, jumps)
-        exact = np.abs(_superoperator(k_op, jumps)).sum(axis=0).max()
+        exact = np.abs(_q_superoperator(k_op, jumps)).sum(axis=0).max()
         assert bound >= exact * (1.0 - 1e-14)
-        assert bound == pytest.approx(exact, rel=1e-12)
+        if tight:
+            assert bound == pytest.approx(exact, rel=1e-12)
+        else:
+            assert bound <= 1.01 * exact
         assert op.norm == bound
 
 
@@ -183,9 +200,9 @@ def test_steady_state_interval_stops_its_series_early(monkeypatch):
     steady = null / np.trace(null)
     steady = 0.5 * (steady + steady.conj().T)
     calls = []
-    apply = _LindbladOperator.hermitian
-    monkeypatch.setattr(_LindbladOperator, "hermitian",
-                        lambda self, rho, out: calls.append(1) or apply(self, rho, out))
+    apply = _LindbladOperator.apply
+    monkeypatch.setattr(_LindbladOperator, "apply",
+                        lambda self, q, out: calls.append(1) or apply(self, q, out))
     schedule = Schedule(t_relax=1.0, t_final=0.0, dt=0.05, record_stride=20)
     series = evolve_master(FockDensityMatrix(data=steady, dims=(16,)), spec, None, schedule)
     from_steady = len(calls)
@@ -295,7 +312,7 @@ def test_nonclassical_cascade_matches_master_equation(state, source_dim):
 
 
 def test_cascade_matches_superoperator_exponential():
-    # the dense superoperator exponential, applied per interval with the same
+    # the dense superoperator exponential, applied per interval with a
     # Hermitian projection, is the reference at every recorded time
     spec = build_reservoir(shape_for_modes(2), kerr=0.05, seed=42)
     schedule = Schedule(t_relax=2.0, t_final=3.0, dt=0.05, record_stride=10)
@@ -316,24 +333,41 @@ def test_cascade_matches_superoperator_exponential():
         occupation.append([expect_occupation(state, len(dims) - 2 + j) for j in range(2)])
     assert np.max(np.abs(series.occupation - np.array(occupation))) < 1e-12
     assert np.max(np.abs(series.final_state.data - rho)) < 1e-12
+    assert np.array_equal(series.final_state.data, series.final_state.data.conj().T)
 
 
 def test_long_phase_matches_superoperator_exponential():
     # 50 unit intervals, each several Taylor substeps, against the dense
-    # exponential applied per interval with the same Hermitian projection
-    spec = build_single_mode(drive=1.0, kerr=0.1, loss=1.0)
+    # exponential applied per interval with a Hermitian projection; the
+    # complex drive puts real off-diagonal entries into K
     schedule = Schedule(t_relax=50.0, t_final=0.0, dt=0.05, record_stride=20)
-    series = evolve_master(vacuum_density(16), spec, None, schedule)
-    step = expm(_superoperator(*_generators(spec, (16,), None, f=0)))
-    rho = vacuum_density(16).data
-    occupation = [0.0]
-    for _ in range(schedule.times.shape[0] - 1):
-        rho = (step @ rho.reshape(-1)).reshape(rho.shape)
-        rho = 0.5 * (rho + rho.conj().T)
-        occupation.append(expect_occupation(FockDensityMatrix(data=rho, dims=(16,))))
-    assert len(occupation) == 51
-    assert np.max(np.abs(series.occupation[:, 0] - np.array(occupation))) < 1e-12
-    assert np.max(np.abs(series.final_state.data - rho)) < 1e-12
+    for drive in (1.0, 0.6 + 0.8j):
+        spec = build_single_mode(drive=drive, kerr=0.1, loss=1.0)
+        series = evolve_master(vacuum_density(16), spec, None, schedule)
+        step = expm(_superoperator(*_generators(spec, (16,), None, f=0)))
+        rho = vacuum_density(16).data
+        occupation = [0.0]
+        for _ in range(schedule.times.shape[0] - 1):
+            rho = (step @ rho.reshape(-1)).reshape(rho.shape)
+            rho = 0.5 * (rho + rho.conj().T)
+            occupation.append(expect_occupation(FockDensityMatrix(data=rho, dims=(16,))))
+        assert len(occupation) == 51
+        assert np.max(np.abs(series.occupation[:, 0] - np.array(occupation))) < 1e-12
+        assert np.max(np.abs(series.final_state.data - rho)) < 1e-12
+
+
+def test_master_equation_propagates_the_hermitian_part_of_its_input():
+    spec = build_single_mode(drive=0.6 + 0.8j, kerr=0.1, loss=1.0)
+    schedule = Schedule(t_relax=1.0, t_final=0.0, dt=0.05, record_stride=10)
+    rho = build_state_fock(coherent_state(0.4 + 0.3j), 8).data
+    re, im = np.random.default_rng(3).normal(size=(2, 8, 8))
+    anti = re - re.T + 1j * (im + im.T)        # anti-Hermitian, zero diagonal
+    np.fill_diagonal(anti, 0.0)
+    skewed = FockDensityMatrix(data=rho + 1e-3 * anti, dims=(8,))
+    plain = evolve_master(FockDensityMatrix(data=rho, dims=(8,)), spec, None, schedule)
+    series = evolve_master(skewed, spec, None, schedule)
+    assert np.max(np.abs(series.final_state.data - plain.final_state.data)) < 1e-15
+    assert np.max(np.abs(series.occupation - plain.occupation)) < 1e-15
 
 
 def test_master_equation_ignores_and_keeps_global_random_state():
