@@ -200,7 +200,7 @@ def cmd_stability_scan(args, manifest: RunManifest) -> None:
             for name in ("f", "kerr", "loss") if name in cfg}
     if "f" not in axes or len(axes) != 2:
         raise ConfigError("scan config needs an 'f' axis plus exactly one of 'kerr'/'loss'")
-    kwargs = dict(trajectories=_number(cfg, "trajectories", 500, integer=True),
+    kwargs = dict(trajectories=_number(cfg, "trajectories", 500, integer=True, minimum=1),
                   horizon=_number(cfg, "horizon", 25.0), dt=_number(cfg, "dt", 0.05),
                   seed=args.seed, workers=args.workers, **{f"{other}_values": axes[other]})
     if fixed in _block(cfg, "fixed"):          # else stability_scan's default
@@ -337,7 +337,7 @@ def cmd_pipeline(args, manifest: RunManifest) -> None:
     base_seed = _number(cfg, "seed", args.seed or 0, integer=True, minimum=0)
     train_count = _number(cfg, "counts.train", 60, integer=True)
     test_count = _number(cfg, "counts.test", 15, integer=True, minimum=1)
-    trajectories = _number(cfg, "trajectories", 2000, integer=True)
+    trajectories = _number(cfg, "trajectories", 2000, integer=True, minimum=1)
     runs = _number(cfg, "runs", 1 if regress else 3, integer=True, minimum=1)
     if regress and runs != 1:
         raise ConfigError(f"runs must be 1 for predict_squeezing, which trains one "
@@ -356,8 +356,9 @@ def cmd_pipeline(args, manifest: RunManifest) -> None:
     # (dataset file, run-tag prefix, dataset seed, reservoir) for each size
     if sweep:
         modes = cfg.get("sweep_modes", [2, 3, 4, 5, 6, 7])
-        if not (isinstance(modes, list) and modes and all(type(n) is int for n in modes)):
-            raise ConfigError(f"sweep_modes must be a non-empty list of integers, "
+        if not (isinstance(modes, list) and modes and all(type(n) is int for n in modes)
+                and len(set(modes)) == len(modes)):
+            raise ConfigError(f"sweep_modes must be a non-empty list of distinct integers, "
                               f"got {modes!r}")
         sizes = [(f"dataset_n{n}.csv", f"n{n}_", (base_seed, n),
                   _pipeline_reservoir({"kerr": 0.05, **res_cfg, "modes": n}, base_seed))

@@ -508,10 +508,8 @@ def _convergent_fraction(spec, samples, schedule, seed) -> float:
 def build_single_mode(*, drive, kerr: float, loss: float,
                       source_loss: float = 1.0, input_weight: float = 0.0) -> ReservoirSpec:
     """One isolated mode; the degenerate reservoir used by scans and oracles."""
-    w = np.array([float(input_weight)])
     return ReservoirSpec(
-        rows=1, cols=1, edges=(),
-        hopping=np.zeros((1, 1)), detuning=np.zeros(1),
+        rows=1, cols=1, hopping=np.zeros((1, 1)), detuning=np.zeros(1),
         kerr=float(kerr), drive=np.array([complex(drive)]),
         loss=np.array([float(loss)]), source_loss=float(source_loss),
-        input_weights=w, eta=float(np.sum(w ** 2)), seed=None)
+        input_weights=np.array([float(input_weight)]), seed=None)

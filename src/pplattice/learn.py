@@ -29,7 +29,6 @@ from .observables import SPLITS, FeatureRecord, csv_text, feature_vector, steady
 from .sampler import StateSpec, sample_state
 
 CLASS_NAMES = ("cat", "squeezed_vacuum", "coherent")
-FLAG_DIVERGENCE_FRACTION = 0.10
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Reference accuracies for the three-class task: uniform guessing, and the
@@ -158,13 +157,18 @@ class ReadoutModel:
         }, sort_keys=True, default_flow_style=None)
 
 
+def squeezing_target(state: StateSpec) -> complex:
+    """The regression target of a squeezed vacuum: zeta = r exp(2i theta)."""
+    return complex(state.r * np.exp(2j * state.theta))
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature records, each in the train or the test split.
 
-    task is "classify" (labels are class names, targets None) or
-    "predict_squeezing" (every label is squeezed_vacuum, targets are the
-    complex zeta values).
+    task is "classify" (each state is of one of the classes) or
+    "predict_squeezing" (every state is a squeezed vacuum, whose target is
+    its complex zeta).
     """
 
     task: str
@@ -173,9 +177,10 @@ class Dataset:
     def __post_init__(self):
         if self.task not in ("classify", "predict_squeezing"):
             raise ConfigError(f"unknown task {self.task!r}")
-        unknown = {r.label for r in self.records} - set(self.classes)
-        if self.task == "classify" and unknown:
-            raise ConfigError(f"records carry labels outside the class list: {unknown}")
+        kinds = self.classes or ("squeezed_vacuum",)
+        unknown = sorted({r.label for r in self.records} - set(kinds))
+        if unknown:
+            raise ConfigError(f"{self.task} records carry state kinds outside {kinds}: {unknown}")
 
     @property
     def classes(self) -> tuple[str, ...]:
@@ -207,10 +212,7 @@ class Dataset:
     def targets(self, split: str) -> np.ndarray:
         if self.task != "predict_squeezing":
             raise ConfigError("complex targets only exist for the regression task")
-        values = [r.target for r in self._records(split)]
-        if None in values:
-            raise ConfigError(f"a {split} record has no regression target")
-        return np.asarray(values, dtype=complex)
+        return np.asarray([squeezing_target(r.state) for r in self._records(split)], complex)
 
     def to_csv(self) -> str:
         n_feat = self.n_features
@@ -220,7 +222,7 @@ class Dataset:
         rows = [cols]
         for rec in self.records:
             s = rec.state
-            t = rec.target if rec.target is not None else complex("nan")
+            t = squeezing_target(s) if self.task == "predict_squeezing" else complex("nan")
             rows.append([rec.split, rec.label, t.real, t.imag,
                          rec.divergence_fraction, rec.flagged, s.kind, s.beta.real,
                          s.beta.imag, s.nbar, s.r, s.theta, s.cat_phase, *rec.features])
@@ -388,41 +390,28 @@ def evaluate(model: ReadoutModel, dataset: Dataset, split: str = "test") -> Metr
 # Dataset generation
 
 
-def _draw_state(task: str, label: str, rng: np.random.Generator) -> tuple[StateSpec, complex | None]:
-    if task == "predict_squeezing" or label == "squeezed_vacuum":
+def _draw_state(kind: str, rng: np.random.Generator) -> StateSpec:
+    """A state of `kind` from its task window: r or |beta| first, then the phase."""
+    if kind == "squeezed_vacuum":
         r = rng.uniform(*SQUEEZED_R_RANGE)
-        theta = rng.uniform(*PHASE_RANGE)
-        state = StateSpec(kind="squeezed_vacuum", r=r, theta=theta)
-        target = complex(r * np.exp(2j * theta)) if task == "predict_squeezing" else None
-        return state, target
-    if label == "cat":
-        mag = rng.uniform(*CAT_BETA_RANGE)
-        phi = rng.uniform(*PHASE_RANGE)
-        return StateSpec(kind="cat", beta=mag * np.exp(1j * phi)), None
-    if label == "coherent":
-        mag = rng.uniform(*COHERENT_BETA_RANGE)
-        phi = rng.uniform(*PHASE_RANGE)
-        return StateSpec(kind="coherent", beta=mag * np.exp(1j * phi)), None
-    raise ConfigError(f"no parameter range for label {label!r}")
+        return StateSpec(kind=kind, r=r, theta=rng.uniform(*PHASE_RANGE))
+    mag = rng.uniform(*(CAT_BETA_RANGE if kind == "cat" else COHERENT_BETA_RANGE))
+    return StateSpec(kind=kind, beta=mag * np.exp(1j * rng.uniform(*PHASE_RANGE)))
 
 
 def _one_record(spec: ReservoirSpec, schedule: Schedule, relaxed: RelaxedStart,
-                state: StateSpec, label: str, split: str, target, trajectories: int,
+                state: StateSpec, split: str, trajectories: int,
                 sample_seed, run_seed) -> FeatureRecord:
     samples = sample_state(state, trajectories, seed=sample_seed)
     try:
         series = run_ensemble(spec, samples, schedule, seed=run_seed, relaxed=relaxed)
     except DivergenceError:
-        return FeatureRecord(features=np.zeros(spec.n_modes), label=label,
-                             split=split, state=state, target=target,
-                             divergence_fraction=1.0, flagged=True)
+        return FeatureRecord(features=np.zeros(spec.n_modes), split=split, state=state,
+                             divergence_fraction=1.0)
     # a survivor here survived the relaxation, so relaxed.series exists
     steady = steady_occupations(relaxed.series)
-    features = feature_vector(series, steady)
-    frac = float(series.divergence_fraction)
-    return FeatureRecord(features=features, label=label, split=split, state=state,
-                         target=target, divergence_fraction=frac,
-                         flagged=frac > FLAG_DIVERGENCE_FRACTION)
+    return FeatureRecord(features=feature_vector(series, steady), split=split, state=state,
+                         divergence_fraction=float(series.divergence_fraction))
 
 
 def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
@@ -444,13 +433,9 @@ def generate_dataset(task: str, spec: ReservoirSpec, schedule: Schedule, *,
     checked_number(test_count, "test_count", integer=True, minimum=0)
     base = seed_key(seed)
     relaxed = relax_ensemble(spec, schedule, trajectories, seed=base + (3,))
-    labels = CLASS_NAMES if task == "classify" else ("squeezed_vacuum",)
-    per_label = train_count + test_count
-    plans = []
-    for c, label in enumerate(labels):
-        for i in range(per_label):
-            state, target = _draw_state(task, label, generator(base + (0, c, i)))
-            plans.append((spec, schedule, relaxed, state, label,
-                          "train" if i < train_count else "test", target, trajectories,
-                          base + (1, c, i), base + (2, c, i)))
+    kinds = CLASS_NAMES if task == "classify" else ("squeezed_vacuum",)
+    plans = [(spec, schedule, relaxed, _draw_state(kind, generator(base + (0, c, i))),
+              "train" if i < train_count else "test", trajectories,
+              base + (1, c, i), base + (2, c, i))
+             for c, kind in enumerate(kinds) for i in range(train_count + test_count)]
     return Dataset(task=task, records=tuple(_pool_starmap(_one_record, plans, workers)))

@@ -89,15 +89,12 @@ def spectral_radius(matrix: np.ndarray) -> float:
 class ReservoirSpec:
     """Frozen description of one reservoir instance.
 
-    edges are the lattice's nearest-neighbour edges; hopping is symmetric,
-    zero off those edges, and of unit spectral radius unless it is all zero;
-    eta caches sum(input_weights**2), the effective source decay weight
-    during injection.
+    hopping is symmetric, zero off the lattice's nearest-neighbour edges, and
+    of unit spectral radius unless it is all zero.
     """
 
     rows: int
     cols: int
-    edges: tuple[tuple[int, int], ...]
     hopping: np.ndarray        # (N, N) real symmetric
     detuning: np.ndarray       # (N,) real
     kerr: float
@@ -105,7 +102,6 @@ class ReservoirSpec:
     loss: np.ndarray           # (N,) real, >= 0
     source_loss: float
     input_weights: np.ndarray  # (N,) real in [0, 1]
-    eta: float
     seed: int | None = None
 
     def __post_init__(self):
@@ -117,6 +113,11 @@ class ReservoirSpec:
     @property
     def n_modes(self) -> int:
         return self.rows * self.cols
+
+    @property
+    def eta(self) -> float:
+        """sum(input_weights**2): the effective source decay weight during injection."""
+        return float(np.sum(self.input_weights ** 2))
 
     def validate(self):
         n = self.n_modes
@@ -145,13 +146,8 @@ class ReservoirSpec:
             raise ConfigError("loss rates must be > 0")
         if np.any(self.input_weights < 0) or np.any(self.input_weights > 1):
             raise ConfigError("input weights must lie in [0, 1]")
-        if float(np.sum(self.input_weights ** 2)) != self.eta:
-            raise ConfigError("eta does not equal sum(input_weights**2)")
-        if self.edges != lattice_edges(LatticeShape(self.rows, self.cols)):
-            raise ConfigError(f"edges {list(self.edges)} are not the nearest-neighbour "
-                              f"edges of a {self.rows}x{self.cols} lattice")
         off_edge = np.ones((n, n), dtype=bool)
-        for i, j in self.edges:
+        for i, j in lattice_edges(LatticeShape(self.rows, self.cols)):
             off_edge[i, j] = off_edge[j, i] = False
         if np.any(self.hopping[off_edge] != 0):
             raise ConfigError("hopping couples modes that share no lattice edge")
@@ -167,7 +163,7 @@ class ReservoirSpec:
             "format": RESERVOIR_FORMAT,
             "rows": self.rows,
             "cols": self.cols,
-            "edges": [list(e) for e in self.edges],
+            "edges": [list(e) for e in lattice_edges(LatticeShape(self.rows, self.cols))],
             "hopping": [[float(x) for x in row] for row in self.hopping],
             "detuning": [float(x) for x in self.detuning],
             "kerr": float(self.kerr),
@@ -181,17 +177,19 @@ class ReservoirSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReservoirSpec":
+        # a file also holds the edges and eta that its shape and weights fix: others are refused
         if data.get("format", RESERVOIR_FORMAT) != RESERVOIR_FORMAT:
             raise ConfigError(f"unknown reservoir format {data['format']!r}")
         try:       # a value of the wrong type or shape, or a missing key
             drive = np.array([complex(checked_number(re, "drive"), checked_number(im, "drive"))
                               for re, im in data["drive"]], dtype=complex)
+            edges = tuple((checked_number(i, "edge index", integer=True),
+                           checked_number(j, "edge index", integer=True))
+                          for i, j in data["edges"])
+            eta = checked_number(data["eta"], "eta")
             fields = dict(
-                rows=checked_number(data["rows"], "rows", integer=True),
-                cols=checked_number(data["cols"], "cols", integer=True),
-                edges=tuple((checked_number(i, "edge index", integer=True),
-                             checked_number(j, "edge index", integer=True))
-                            for i, j in data["edges"]),
+                rows=checked_number(data["rows"], "rows", integer=True, minimum=1),
+                cols=checked_number(data["cols"], "cols", integer=True, minimum=1),
                 hopping=np.array([_checked_floats(row, "hopping") for row in data["hopping"]]),
                 detuning=_checked_floats(data["detuning"], "detuning"),
                 kerr=checked_number(data["kerr"], "kerr"),
@@ -199,13 +197,19 @@ class ReservoirSpec:
                 loss=_checked_floats(data["loss"], "loss"),
                 source_loss=checked_number(data["source_loss"], "source_loss"),
                 input_weights=_checked_floats(data["input_weights"], "input_weights"),
-                eta=checked_number(data["eta"], "eta"),
                 seed=None if data.get("seed") is None
                 else checked_number(data["seed"], "seed", integer=True, minimum=0),
             )
         except (KeyError, TypeError, ValueError) as exc:   # ConfigError is a ValueError
             raise ConfigError(f"malformed reservoir dictionary: {exc}") from exc
-        return cls(**fields)
+        rows, cols = fields["rows"], fields["cols"]
+        if edges != lattice_edges(LatticeShape(rows, cols)):
+            raise ConfigError(f"edges {list(edges)} are not the nearest-neighbour "
+                              f"edges of a {rows}x{cols} lattice")
+        spec = cls(**fields)
+        if eta != spec.eta:
+            raise ConfigError("eta does not equal sum(input_weights**2)")
+        return spec
 
     def dumps(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=True, default_flow_style=None)
@@ -312,8 +316,7 @@ def build_reservoir(shape: LatticeShape, *, kerr: float, drive: complex | np.nda
     drive_vec = np.broadcast_to(np.asarray(drive, dtype=complex), (n,)).copy()
     loss_vec = np.broadcast_to(np.asarray(loss, dtype=float), (n,)).copy()
     return ReservoirSpec(
-        rows=shape.rows, cols=shape.cols, edges=edges,
+        rows=shape.rows, cols=shape.cols,
         hopping=hopping, detuning=detuning, kerr=float(kerr), drive=drive_vec,
-        loss=loss_vec, source_loss=float(source_loss),
-        input_weights=weights, eta=float(np.sum(weights ** 2)), seed=seed,
+        loss=loss_vec, source_loss=float(source_loss), input_weights=weights, seed=seed,
     )

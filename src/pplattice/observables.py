@@ -130,20 +130,29 @@ def feature_vector(series: OccupationSeries, steady: np.ndarray) -> np.ndarray:
     return trapezoid(series.mean[mask] - steady, t, axis=0)
 
 
+FLAG_DIVERGENCE_FRACTION = 0.10    # a record that lost more of its trajectories is flagged
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureRecord:
-    """One dataset record: features plus label/target, split and provenance."""
+    """One dataset record: the features of one input state, its split and divergence."""
 
     features: np.ndarray          # (N,)
-    label: str                    # class name, or "squeezed_vacuum" for regression
     split: str                    # "train" or "test"
     state: StateSpec
-    target: complex | None = None  # regression target, None for classification
     divergence_fraction: float = 0.0
-    flagged: bool = False          # True when divergence fraction exceeded 10%
 
     def __post_init__(self):
         if self.features.ndim != 1:
             raise ConfigError("features must be a 1-d vector")
         if self.split not in SPLITS:
             raise ConfigError(f"split must be 'train' or 'test', got {self.split!r}")
+
+    @property
+    def label(self) -> str:
+        """The class name: the injected state's kind."""
+        return self.state.kind
+
+    @property
+    def flagged(self) -> bool:
+        return self.divergence_fraction > FLAG_DIVERGENCE_FRACTION

@@ -249,8 +249,9 @@ def _embed(op: np.ndarray, dims: tuple[int, ...], position: int):
     return mat
 
 
-def _generators(spec: ReservoirSpec, dims: tuple[int, ...], source_dim: int | None, f: int):
-    """Sparse K and jump operators for the (optionally source-extended) space."""
+def _generators(spec: ReservoirSpec, dims: tuple[int, ...], source_dim: int | None = None):
+    """Sparse K and jump operators for the reservoir space, or, given a
+    source_dim, for the source-extended space with the cascade (f = 1) terms."""
     from scipy import sparse
     full_dims = ((source_dim,) + dims) if source_dim else dims
     offset = 1 if source_dim else 0
@@ -274,7 +275,7 @@ def _generators(spec: ReservoirSpec, dims: tuple[int, ...], source_dim: int | No
     for j in range(n):
         k_op = k_op - 0.5 * spec.loss[j] * (lower[j].conj().T @ lower[j])
         jumps.append(math.sqrt(spec.loss[j]) * lower[j])
-    if source_dim and f:
+    if source_dim:
         s_op = _embed(destroy(source_dim), full_dims, 0)
         k_op = k_op - 0.5 * spec.source_loss * spec.eta * (s_op.conj().T @ s_op)
         for j in range(n):
@@ -460,13 +461,13 @@ def evolve_master(rho0: FockDensityMatrix, spec: ReservoirSpec,
     rho = rho0.data.astype(complex)
     state_dims = dims
     snapshot(0, rho, state_dims)
-    k_op, jumps = _generators(spec, dims, None, f=0)
+    k_op, jumps = _generators(spec, dims)
     for rec, rho in enumerate(_phase_states(k_op, jumps, rho, segment, relax_end), 1):
         snapshot(rec, rho, state_dims)
     if relax_end < last:
         rho = np.kron(source0.data, rho)
         state_dims = (source_dim,) + dims
-        k_op, jumps = _generators(spec, dims, source_dim, f=1)
+        k_op, jumps = _generators(spec, dims, source_dim)
         for rec, rho in enumerate(
                 _phase_states(k_op, jumps, rho, segment, last - relax_end), relax_end + 1):
             snapshot(rec, rho, state_dims)

@@ -301,8 +301,8 @@ def estimate_moment(samples: PhaseSampleSet, p: int, q: int):
     (trailing remainder samples contribute to the mean but not the error bar).
     Identical samples report stderr exactly 0.
     """
-    if p < 0 or q < 0:
-        raise ConfigError("moment orders must be >= 0")
+    p = checked_number(p, "moment order p", integer=True, minimum=0)
+    q = checked_number(q, "moment order q", integer=True, minimum=0)
     values = samples.alpha ** p * np.conj(samples.alpha_tilde) ** q
     return _batched_mean(values)
 

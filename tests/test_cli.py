@@ -365,10 +365,12 @@ def test_simulate_non_finite_duration_exits_2(tmp_path, capsys):
     # edges that are not the lattice's, or hopping between modes that share none
     ({"edges": [], "hopping": [[0.0, 5.0], [5.0, 0.0]]}, "nearest-neighbour edges"),
     (SKIPPING_CHAIN, "share no lattice edge"),
+    # eta is sum(input_weights**2)
+    ({"eta": 0.5}, "eta does not equal"),
 ], ids=["missing", "unparsable", "not_a_mapping", "word_rows", "drive_not_a_pair",
         "word_kerr", "ragged_hopping", "fractional_rows", "fractional_seed", "negative_seed",
         "boolean_rows", "boolean_kerr", "text_loss", "boolean_loss", "boolean_drive",
-        "no_edges", "hopping_off_edges"])
+        "no_edges", "hopping_off_edges", "wrong_eta"])
 def test_simulate_bad_reservoir_file_exits_2(tmp_path, capsys, content, message):
     good, samples = simulate_setup(tmp_path, capsys)
     reservoir = tmp_path / "bad.yaml"
@@ -779,7 +781,7 @@ def test_pipeline_fractional_or_boolean_hyperparams_exit_2(tmp_path, capsys, key
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("sweep_modes", [[], [2, "three"], [2, 2.5], 4])
+@pytest.mark.parametrize("sweep_modes", [[], [2, "three"], [2, 2.5], 4, [2, 2]])
 def test_pipeline_bad_sweep_modes_exits_2(tmp_path, capsys, sweep_modes):
     config = write_yaml(tmp_path / "sweep.yaml", {**MICRO_SWEEP, "sweep_modes": sweep_modes})
     code, _, err = run_cli(capsys, "--out-dir", str(tmp_path),
@@ -832,6 +834,9 @@ SCAN = {"f": {"start": 0.0, "stop": 2.0, "count": 3},
      "seed"),
     ("pipeline", {**MICRO_CLASSIFY, "reservoir": {"modes": 2, "kerr": 0.05, "seed": -1}},
      "seed"),
+    # a trajectory count of 0 is refused under its config name
+    ("stability-scan", {**SCAN, "trajectories": 0}, "trajectories"),
+    ("pipeline", {**MICRO_CLASSIFY, "trajectories": 0}, "trajectories"),
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, config, key):
     path = write_yaml(tmp_path / "config.yaml", config)

@@ -13,12 +13,16 @@ from pplattice.errors import ConfigError, DivergenceError
 from pplattice.learn import (BASELINE_PAIR_CONFUSED_ACCURACY, BASELINE_UNIFORM_ACCURACY,
                              CLASS_NAMES, Dataset, Hyperparams, ReadoutModel,
                              classifier_loss_and_grad, cross_entropy, evaluate,
-                             generate_dataset, regressor_loss_and_grad, softmax, train_classifier,
-                             train_regressor)
+                             generate_dataset, regressor_loss_and_grad, softmax,
+                             squeezing_target, train_classifier, train_regressor)
 from pplattice.model import build_reservoir, shape_for_modes
 from pplattice.observables import FeatureRecord
 from pplattice.oracle import build_state_fock, expect_occupation
-from pplattice.sampler import coherent_state, squeezed_state
+from pplattice.sampler import cat_state, coherent_state, squeezed_state, thermal_state
+
+# one state of each class; a record's label is its state's kind
+CLASS_STATES = {"cat": cat_state(1.2), "squeezed_vacuum": squeezed_state(1.0),
+                "coherent": coherent_state(1.0)}
 
 
 def toy_dataset(task="classify", per_class_train=20, per_class_test=5, noise=0.05,
@@ -31,17 +35,19 @@ def toy_dataset(task="classify", per_class_train=20, per_class_test=5, noise=0.0
             features = np.zeros(3)
             features[c] = 1.0
             features += noise * rng.standard_normal(3)
-            records.append(FeatureRecord(features=features, label=label,
+            records.append(FeatureRecord(features=features,
                                          split="train" if i < per_class_train else "test",
-                                         state=coherent_state(1.0)))
+                                         state=CLASS_STATES[label]))
     return Dataset(task=task, records=tuple(records))
 
 
 def regression_dataset(targets, features):
+    """Records of squeezed vacua whose zeta = r exp(2i theta) is each target
+    (to roundoff)."""
     split = max(1, int(0.8 * len(targets)))
     records = [FeatureRecord(features=np.asarray(f, dtype=float),
-                             label="squeezed_vacuum", split="train" if k < split else "test",
-                             state=squeezed_state(1.0), target=complex(t))
+                             split="train" if k < split else "test",
+                             state=squeezed_state(abs(t), np.angle(t) / 2.0))
                for k, (f, t) in enumerate(zip(features, targets))]
     return Dataset(task="predict_squeezing", records=tuple(records))
 
@@ -119,8 +125,8 @@ def test_zero_features_collapse_to_majority_class():
     records = []
     for label, count in (("cat", 4), ("squeezed_vacuum", 2), ("coherent", 2)):
         for _ in range(count):
-            records.append(FeatureRecord(features=np.zeros(2), label=label, split="train",
-                                         state=coherent_state(1.0)))
+            records.append(FeatureRecord(features=np.zeros(2), split="train",
+                                         state=CLASS_STATES[label]))
     dataset = Dataset(task="classify", records=tuple(records))
     model, _ = train_classifier(dataset, Hyperparams(learning_rate=0.05, epochs=300, seed=1))
     metrics = evaluate(model, dataset, "train")
@@ -275,9 +281,9 @@ def test_confusion_matrix_rows_are_exact_distributions():
 
 
 def test_perfect_regression_predictions_give_zero_mse():
-    zeta = 0.4 + 0.2j
     features = np.ones((10, 3))
-    dataset = regression_dataset(np.full(10, zeta), features)
+    dataset = regression_dataset(np.full(10, 0.4 + 0.2j), features)
+    zeta = dataset.targets("test")[0]       # 0.4 + 0.2j to roundoff
     model = ReadoutModel(kind="regress", weights=np.zeros((2, 3)),
                          bias=np.array([zeta.real, zeta.imag]),
                          feature_mean=np.zeros(3), feature_std=np.ones(3))
@@ -384,7 +390,7 @@ def test_regression_targets_encode_the_squeezing(small_reservoir, small_schedule
     assert len(dataset.records) == 5
     for record in dataset.records:
         assert record.label == "squeezed_vacuum"
-        zeta = record.target
+        zeta = squeezing_target(record.state)
         assert 0.9 <= abs(zeta) <= 1.1
         assert abs(zeta - record.state.r * np.exp(2j * record.state.theta)) < 1e-12
 
@@ -452,7 +458,16 @@ def test_split_validation():
     # a record is in the train or the test split, and a dataset reads no other
     for split in ("unused", "", None):
         with pytest.raises(ConfigError, match="split must be 'train' or 'test'"):
-            FeatureRecord(features=np.zeros(1), label="cat", split=split,
-                          state=coherent_state(1.0))
+            FeatureRecord(features=np.zeros(1), split=split, state=cat_state(1.2))
     with pytest.raises(ConfigError, match="split must be 'train' or 'test'"):
         toy_dataset().features("unused")
+
+
+def test_dataset_states_match_the_task():
+    # a classification record holds a state of one of the classes, and a
+    # regression record a squeezed vacuum, whose zeta is the target
+    for task, state in (("classify", thermal_state(0.5)),
+                        ("predict_squeezing", coherent_state(1.0))):
+        record = FeatureRecord(features=np.zeros(1), split="train", state=state)
+        with pytest.raises(ConfigError, match="state kinds outside"):
+            Dataset(task=task, records=(record,))

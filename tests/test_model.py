@@ -80,7 +80,7 @@ def test_hopping_symmetric_normalized_and_on_edges():
         assert np.array_equal(hop, hop.T)
         assert abs(spectral_radius(hop) - 1.0) < 1e-10
         allowed = set()
-        for a, b in spec.edges:
+        for a, b in lattice_edges(LatticeShape(spec.rows, spec.cols)):
             allowed.add((a, b))
             allowed.add((b, a))
         for a in range(spec.n_modes):

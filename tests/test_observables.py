@@ -139,12 +139,16 @@ def test_window_validation():
 
 
 def test_feature_record_validation():
-    record = FeatureRecord(features=np.array([0.1, 0.2]), label="cat", split="train",
+    record = FeatureRecord(features=np.array([0.1, 0.2]), split="train",
                            state=coherent_state(1.0))
     assert record.features.shape == (2,)
+    # the label is the state's kind; a record is flagged above 10 % divergence
+    assert record.label == "coherent" and not record.flagged
+    for fraction, flagged in ((0.1, False), (0.125, True), (1.0, True)):
+        assert FeatureRecord(features=np.zeros(2), split="test", state=cat_state(1.2),
+                             divergence_fraction=fraction).flagged is flagged
     with pytest.raises(ConfigError):
-        FeatureRecord(features=np.zeros((2, 2)), label="cat", split="train",
-                      state=coherent_state(1.0))
+        FeatureRecord(features=np.zeros((2, 2)), split="train", state=coherent_state(1.0))
 
 
 # -- CSV writers: exact text from literal values ---------------------------------
@@ -186,11 +190,10 @@ def test_stability_scan_csv_text():
 
 def test_dataset_csv_text():
     records = (
-        FeatureRecord(features=np.array([1.5, -0.0]), label="cat", split="test",
+        FeatureRecord(features=np.array([1.5, -0.0]), split="test",
                       state=cat_state(1.25, math.pi)),
-        FeatureRecord(features=np.array([SUBNORMAL, 2.0]), label="coherent", split="train",
-                      state=coherent_state(0.5 - 0.25j), divergence_fraction=0.125,
-                      flagged=True),
+        FeatureRecord(features=np.array([SUBNORMAL, 2.0]), split="train",
+                      state=coherent_state(0.5 - 0.25j), divergence_fraction=0.125),
     )
     dataset = Dataset(task="classify", records=records)
     assert dataset.to_csv() == (
@@ -199,12 +202,13 @@ def test_dataset_csv_text():
         "beta_im,nbar,r,theta,cat_phase,f0,f1\n"
         "test,cat,nan,0.0,0.0,0,cat,1.25,0.0,0.0,0.0,0.0,3.141592653589793,1.5,-0.0\n"
         "train,coherent,nan,0.0,0.125,1,coherent,0.5,-0.25,0.0,0.0,0.0,0.0,5e-324,2.0\n")
+    # the target is the state's zeta = r exp(2i theta): here exp(0.5i)
     regression = Dataset(task="predict_squeezing", records=(FeatureRecord(
-        features=np.array([0.75]), label="squeezed_vacuum", split="train",
-        state=squeezed_state(1.0, 0.25), target=complex(0.5, -0.0)),))
+        features=np.array([0.75]), split="train", state=squeezed_state(1.0, 0.25)),))
     assert regression.to_csv().splitlines()[0::2] == [
         "#task,predict_squeezing,",
-        "train,squeezed_vacuum,0.5,-0.0,0.0,0,squeezed_vacuum,0.0,0.0,0.0,1.0,0.25,0.0,0.75"]
+        "train,squeezed_vacuum,0.8775825618903728,0.479425538604203,0.0,0,"
+        "squeezed_vacuum,0.0,0.0,0.0,1.0,0.25,0.0,0.75"]
 
 
 def test_training_curves_csv_text():

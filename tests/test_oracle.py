@@ -123,8 +123,8 @@ def test_cascade_generators_are_trace_preserving():
     # K + K^dag + sum A^dag A = 0 makes every Lindblad term traceless
     spec = build_single_mode(drive=0.5, kerr=0.1, loss=1.0,
                              source_loss=1.0, input_weight=0.7)
-    for f, source_dim in ((0, None), (1, 6)):
-        k_op, jumps = _generators(spec, (5,), source_dim, f)
+    for source_dim in (None, 6):
+        k_op, jumps = _generators(spec, (5,), source_dim)
         total = k_op + k_op.conj().T
         for a in jumps:
             total = total + a.conj().T @ a
@@ -155,7 +155,7 @@ def _q_superoperator(k_op, jumps) -> np.ndarray:
 
 def test_hermitian_application_matches_superoperator_and_is_hermitian():
     spec = build_reservoir(shape_for_modes(2), kerr=0.05, seed=42)
-    k_op, jumps = _generators(spec, (3, 3), 4, f=1)
+    k_op, jumps = _generators(spec, (3, 3), 4)
     op = _LindbladOperator(k_op, jumps)
     lsup = _q_superoperator(k_op, jumps)
     q = np.random.default_rng(7).normal(size=(op.d, op.d))
@@ -175,10 +175,10 @@ def test_one_norm_bound_is_the_generator_norm():
     spec = build_reservoir(shape_for_modes(2), kerr=0.05, seed=42)
     kerr = build_single_mode(drive=1.0, kerr=0.1, loss=1.0)
     complex_drive = build_single_mode(drive=0.6 + 0.8j, kerr=0.1, loss=1.0)
-    for (k_op, jumps), tight in ((_generators(spec, (3, 3), None, f=0), True),
-                                 (_generators(spec, (3, 3), 4, f=1), True),
-                                 (_generators(kerr, (16,), None, f=0), True),
-                                 (_generators(complex_drive, (16,), None, f=0), False)):
+    for (k_op, jumps), tight in ((_generators(spec, (3, 3)), True),
+                                 (_generators(spec, (3, 3), 4), True),
+                                 (_generators(kerr, (16,)), True),
+                                 (_generators(complex_drive, (16,)), False)):
         op = _LindbladOperator(k_op, jumps)
         bound = _one_norm_bound(k_op, jumps)
         exact = np.abs(_q_superoperator(k_op, jumps)).sum(axis=0).max()
@@ -195,7 +195,7 @@ def test_steady_state_interval_stops_its_series_early(monkeypatch):
     # tiny and each series stops sooner than from vacuum; a shifted generator
     # would move that eigenvalue away from 0 and lose this
     spec = build_single_mode(drive=1.0, kerr=0.1, loss=1.0)
-    _, _, vh = np.linalg.svd(_superoperator(*_generators(spec, (16,), None, f=0)))
+    _, _, vh = np.linalg.svd(_superoperator(*_generators(spec, (16,))))
     null = vh[-1].conj().reshape(16, 16)
     steady = null / np.trace(null)
     steady = 0.5 * (steady + steady.conj().T)
@@ -320,12 +320,12 @@ def test_cascade_matches_superoperator_exponential():
     series = evolve_master(vacuum_density((3, 2)), spec, source, schedule)
     segment = schedule.dt * schedule.record_stride
     rho = vacuum_density((3, 2)).data
-    step = expm(segment * _superoperator(*_generators(spec, (3, 2), None, f=0)))
+    step = expm(segment * _superoperator(*_generators(spec, (3, 2))))
     occupation = [[0.0, 0.0]]
     for rec in range(1, schedule.times.shape[0]):
         if rec == schedule.injection_index + 1:
             rho = np.kron(source.data, rho)
-            step = expm(segment * _superoperator(*_generators(spec, (3, 2), 5, f=1)))
+            step = expm(segment * _superoperator(*_generators(spec, (3, 2), 5)))
         rho = (step @ rho.reshape(-1)).reshape(rho.shape)
         rho = 0.5 * (rho + rho.conj().T)
         dims = (5, 3, 2) if rho.shape[0] == 30 else (3, 2)
@@ -344,7 +344,7 @@ def test_long_phase_matches_superoperator_exponential():
     for drive in (1.0, 0.6 + 0.8j):
         spec = build_single_mode(drive=drive, kerr=0.1, loss=1.0)
         series = evolve_master(vacuum_density(16), spec, None, schedule)
-        step = expm(_superoperator(*_generators(spec, (16,), None, f=0)))
+        step = expm(_superoperator(*_generators(spec, (16,))))
         rho = vacuum_density(16).data
         occupation = [0.0]
         for _ in range(schedule.times.shape[0] - 1):

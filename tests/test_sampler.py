@@ -41,6 +41,10 @@ def test_moment_map_on_coherent_samples():
     assert se == 0.0
     value, _ = estimate_moment(samples, 0, 0)
     assert value == 1.0
+    # an order is an integer >= 0: a fraction or a boolean is refused, not used
+    for p, q in ((0.5, 1), (True, 1), (1, -1)):
+        with pytest.raises(ConfigError, match="moment order"):
+            estimate_moment(samples, p, q)
 
 
 # -- thermal -----------------------------------------------------------------
