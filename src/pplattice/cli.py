@@ -196,7 +196,7 @@ def cmd_stability_scan(args, manifest: RunManifest) -> None:
     other, fixed = ("kerr", "loss") if "kerr" in cfg else ("loss", "kerr")
     _check_keys(cfg, {**SCAN_KEYS, "fixed": {fixed}}, "stability-scan")
     axes = {name: np.linspace(_number(cfg, f"{name}.start"), _number(cfg, f"{name}.stop"),
-                              _number(cfg, f"{name}.count", integer=True))
+                              _number(cfg, f"{name}.count", integer=True, minimum=1))
             for name in ("f", "kerr", "loss") if name in cfg}
     if "f" not in axes or len(axes) != 2:
         raise ConfigError("scan config needs an 'f' axis plus exactly one of 'kerr'/'loss'")
@@ -257,6 +257,7 @@ def cmd_oracle_compare(args, manifest: RunManifest) -> None:
 
 def cmd_wigner(args, manifest: RunManifest) -> None:
     state = _state_from_file(args.state)
+    checked_number(args.points, "--points", integer=True, minimum=2)
     manifest.config = {"state": state.to_dict(), "dim": args.dim,
                        "q": [args.q_min, args.q_max, args.points],
                        "p": [args.p_min, args.p_max, args.points]}
@@ -335,7 +336,7 @@ def cmd_pipeline(args, manifest: RunManifest) -> None:
                 "reservoir": PIPELINE_KEYS["reservoir"] - {"file", "modes"}}
     _check_keys(cfg, keys, task)
     base_seed = _number(cfg, "seed", args.seed or 0, integer=True, minimum=0)
-    train_count = _number(cfg, "counts.train", 60, integer=True)
+    train_count = _number(cfg, "counts.train", 60, integer=True, minimum=1)
     test_count = _number(cfg, "counts.test", 15, integer=True, minimum=1)
     trajectories = _number(cfg, "trajectories", 2000, integer=True, minimum=1)
     runs = _number(cfg, "runs", 1 if regress else 3, integer=True, minimum=1)
@@ -348,18 +349,21 @@ def cmd_pipeline(args, manifest: RunManifest) -> None:
                         dt=_number(cfg, "schedule.dt", 0.05),
                         record_stride=_number(cfg, "schedule.record_stride", 4, integer=True))
     defaults = REGRESS_HYPERPARAMS if regress else CLASSIFY_HYPERPARAMS
+    batch = _block(cfg, "hyperparams").get("batch_size", defaults.batch_size)  # None: full batch
     hyper = Hyperparams(
         learning_rate=_number(cfg, "hyperparams.learning_rate", defaults.learning_rate),
         epochs=_number(cfg, "hyperparams.epochs", defaults.epochs, integer=True),
-        batch_size=_block(cfg, "hyperparams").get("batch_size", defaults.batch_size),
+        batch_size=None if batch is None else _number(
+            cfg, "hyperparams.batch_size", batch, integer=True, minimum=1),
         seed=run_seeds[0])
     # (dataset file, run-tag prefix, dataset seed, reservoir) for each size
     if sweep:
         modes = cfg.get("sweep_modes", [2, 3, 4, 5, 6, 7])
-        if not (isinstance(modes, list) and modes and all(type(n) is int for n in modes)
+        if not (isinstance(modes, list) and modes
+                and all(type(n) is int and n >= 1 for n in modes)
                 and len(set(modes)) == len(modes)):
-            raise ConfigError(f"sweep_modes must be a non-empty list of distinct integers, "
-                              f"got {modes!r}")
+            raise ConfigError(f"sweep_modes must be a non-empty list of distinct integers "
+                              f">= 1, got {modes!r}")
         sizes = [(f"dataset_n{n}.csv", f"n{n}_", (base_seed, n),
                   _pipeline_reservoir({"kerr": 0.05, **res_cfg, "modes": n}, base_seed))
                  for n in modes]

@@ -296,39 +296,32 @@ def vacuum_samples(count: int) -> PhaseSampleSet:
 def estimate_moment(samples: PhaseSampleSet, p: int, q: int):
     """Estimate <b_dag^q b^p> as mean(alpha^p conj(alpha_tilde)^q).
 
-    Returns (mean, stderr); the standard error combines real and imaginary
-    scatter in quadrature, estimated from up to 100 equal consecutive batches
-    (trailing remainder samples contribute to the mean but not the error bar).
+    Returns (mean, stderr); the samples are independent, so the standard
+    error is the i.i.d. one, with real and imaginary scatter in quadrature.
     Identical samples report stderr exactly 0.
     """
     p = checked_number(p, "moment order p", integer=True, minimum=0)
     q = checked_number(q, "moment order q", integer=True, minimum=0)
     values = samples.alpha ** p * np.conj(samples.alpha_tilde) ** q
-    return _batched_mean(values)
+    return _mean_and_stderr(values)
 
 
 def mean_occupation(samples: PhaseSampleSet):
     """Estimate <b_dag b> = Re <alpha conj(alpha_tilde)>; returns (mean, stderr)."""
     values = np.real(samples.alpha * np.conj(samples.alpha_tilde))
-    return _batched_mean(values)
+    return _mean_and_stderr(values)
 
 
-def _batched_mean(values: np.ndarray):
-    s = values.shape[0]
-    if s == 0:
+def _mean_and_stderr(values: np.ndarray):
+    """The mean of independent samples and its standard error,
+    sqrt(sum |v - mean|^2 / (n - 1) / n); 0 for one sample or identical ones."""
+    n = values.shape[0]
+    if n == 0:
         raise ConfigError("cannot estimate a moment from zero samples")
     mean = values.mean()
-    if s == 1:
-        return mean, 0.0
     if np.ptp(values.real) == 0 and np.ptp(np.imag(values)) == 0:
         return mean, 0.0
-    n_batches = min(100, s)
-    size = s // n_batches
-    trimmed = values[:n_batches * size].reshape(n_batches, size)
-    batch_means = trimmed.mean(axis=1)
-    scatter = np.abs(batch_means - batch_means.mean()) ** 2
-    stderr = math.sqrt(scatter.sum() / (n_batches - 1) / n_batches)
-    return mean, stderr
+    return mean, math.sqrt((np.abs(values - mean) ** 2).sum() / (n - 1) / n)
 
 
 def _check_count(count: int):

@@ -367,10 +367,21 @@ def test_simulate_non_finite_duration_exits_2(tmp_path, capsys):
     (SKIPPING_CHAIN, "share no lattice edge"),
     # eta is sum(input_weights**2)
     ({"eta": 0.5}, "eta does not equal"),
+    # values that parse but that no reservoir has
+    ({"hopping": [[0.0, 1.0], [0.5, 0.0]]}, "hopping matrix must be symmetric"),
+    ({"detuning": [math.nan, 0.0]}, "detuning contains non-finite entries"),
+    ({"drive": [[math.inf, 0.0], [0.5, 0.0]]}, "drive contains non-finite entries"),
+    ({"kerr": math.nan}, "kerr and source_loss must be finite"),
+    ({"input_weights": [1.5, 0.0]}, "input weights must lie in [0, 1]"),
+    ({"loss": [1.0]}, "loss has shape (1,), expected (2,)"),
+    ({"format": "pplattice-reservoir-v0"}, "unknown reservoir format"),
+    ({"hopping": [[0.0, 0.5], [0.5, 0.0]]}, "hopping spectral radius"),
 ], ids=["missing", "unparsable", "not_a_mapping", "word_rows", "drive_not_a_pair",
         "word_kerr", "ragged_hopping", "fractional_rows", "fractional_seed", "negative_seed",
         "boolean_rows", "boolean_kerr", "text_loss", "boolean_loss", "boolean_drive",
-        "no_edges", "hopping_off_edges", "wrong_eta"])
+        "no_edges", "hopping_off_edges", "wrong_eta", "asymmetric_hopping", "nan_detuning",
+        "inf_drive", "nan_kerr", "input_weight_over_1", "short_loss", "old_format",
+        "hopping_radius_half"])
 def test_simulate_bad_reservoir_file_exits_2(tmp_path, capsys, content, message):
     good, samples = simulate_setup(tmp_path, capsys)
     reservoir = tmp_path / "bad.yaml"
@@ -569,17 +580,21 @@ def test_wigner_dimension_over_the_limit_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("bounds", [["--q-min", "nan"], ["--q-min", "inf"],
-                                    ["--q-min", "3", "--q-max", "-3"]],
-                         ids=["nan", "inf", "reversed"])
-def test_wigner_bad_grid_exits_2(tmp_path, capsys, bounds):
+@pytest.mark.parametrize("bounds, message", [
+    (["--q-min", "nan"], "q grid"), (["--q-min", "inf"], "q grid"),
+    (["--q-min", "3", "--q-max", "-3"], "q grid"),
+    # the last --points given is the one read
+    (["--points", "-1"], "--points must be an integer >= 2"),
+    (["--points", "1"], "--points must be an integer >= 2"),
+], ids=["nan", "inf", "reversed", "negative_points", "one_point"])
+def test_wigner_bad_grid_exits_2(tmp_path, capsys, bounds, message):
     state = write_yaml(tmp_path / "state.yaml", {"kind": "coherent", "beta": [0.0, 0.0]})
     code, _, err = run_cli(capsys, "--out-dir", str(tmp_path), "wigner",
                            "--state", state, "--dim", "10", "--points", "11", *bounds)
     assert code == 2
     record = json.loads(err)
     assert record["error"] == "ConfigError"
-    assert "q grid" in record["message"]
+    assert message in record["message"]
     assert not (tmp_path / "wigner.csv").exists()
 
 
@@ -620,6 +635,22 @@ def test_pipeline_classify_micro_run_is_reproducible(tmp_path, capsys):
     assert conf[0].startswith("true\\predicted,")
     assert (tmp_path / "a" / "curves_run0.csv").exists()
     assert (tmp_path / "a" / "pipeline.manifest.yaml").exists()
+
+
+def test_pipeline_on_a_reservoir_file_matches_the_drawn_reservoir(tmp_path, capsys):
+    # a file from gen-reservoir stands for the reservoir block that draws it
+    run_cli(capsys, "--out-dir", str(tmp_path), "--seed", "7",
+            "gen-reservoir", "--modes", "2", "--kerr", "0.05")
+    outputs = []
+    for tag, reservoir in (("file", {"file": str(tmp_path / "reservoir.yaml")}),
+                           ("drawn", {"modes": 2, "kerr": 0.05, "seed": 7})):
+        config = write_yaml(tmp_path / f"{tag}.yaml", {**MICRO_CLASSIFY, "reservoir": reservoir})
+        code, _, _ = run_cli(capsys, "--out-dir", str(tmp_path / tag),
+                             "pipeline", "--config", config)
+        assert code == 0
+        outputs.append([(tmp_path / tag / name).read_bytes()
+                        for name in ("dataset.csv", "metrics.yaml", "model_run0.yaml")])
+    assert outputs[0] == outputs[1]
 
 
 def test_pipeline_regression_micro_run_writes_metrics(tmp_path, capsys):
@@ -664,7 +695,7 @@ def test_pipeline_fractional_batch_size_exits_2(tmp_path, capsys):
     assert code == 2
     record = json.loads(err)
     assert record["error"] == "ConfigError"
-    assert "batch size" in record["message"]
+    assert "hyperparams.batch_size" in record["message"]
     assert not (tmp_path / "dataset.csv").exists()
 
 
@@ -781,7 +812,7 @@ def test_pipeline_fractional_or_boolean_hyperparams_exit_2(tmp_path, capsys, key
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("sweep_modes", [[], [2, "three"], [2, 2.5], 4, [2, 2]])
+@pytest.mark.parametrize("sweep_modes", [[], [2, "three"], [2, 2.5], 4, [2, 2], [0]])
 def test_pipeline_bad_sweep_modes_exits_2(tmp_path, capsys, sweep_modes):
     config = write_yaml(tmp_path / "sweep.yaml", {**MICRO_SWEEP, "sweep_modes": sweep_modes})
     code, _, err = run_cli(capsys, "--out-dir", str(tmp_path),
@@ -837,6 +868,12 @@ SCAN = {"f": {"start": 0.0, "stop": 2.0, "count": 3},
     # a trajectory count of 0 is refused under its config name
     ("stability-scan", {**SCAN, "trajectories": 0}, "trajectories"),
     ("pipeline", {**MICRO_CLASSIFY, "trajectories": 0}, "trajectories"),
+    # so are an axis of no points, an empty train split and an empty batch
+    ("stability-scan", {**SCAN, "f": {"start": 0.0, "stop": 2.0, "count": -1}}, "f.count"),
+    ("stability-scan", {**SCAN, "kerr": {"start": 0.0, "stop": 0.5, "count": 0}}, "kerr.count"),
+    ("pipeline", {**MICRO_CLASSIFY, "counts": {"train": 0, "test": 1}}, "counts.train"),
+    ("pipeline", {**MICRO_CLASSIFY, "hyperparams": {"epochs": 40, "batch_size": 0}},
+     "hyperparams.batch_size"),
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, config, key):
     path = write_yaml(tmp_path / "config.yaml", config)

@@ -10,8 +10,8 @@ import pytest
 from conftest import max_se_ratio, plain_se
 from pplattice import dynamics
 from pplattice.dynamics import (PhaseSamplePair, RelaxedStart, Schedule, _BlockRun,
-                                _derivs, _ensemble_series, _PhaseCoeffs, _step_arrays,
-                                _trajectory_generators, build_single_mode,
+                                _derivs, _ensemble_series, _exp_bracket, _PhaseCoeffs,
+                                _step_arrays, _trajectory_generators, build_single_mode,
                                 evolve_trajectory, relax_ensemble, run_ensemble,
                                 stability_scan)
 from pplattice.errors import ConfigError, DivergenceError
@@ -128,6 +128,20 @@ def test_source_split_during_injection():
     spec = build_single_mode(drive=0.0, kerr=0.0, loss=1.0,
                              source_loss=2.0, input_weight=0.5)
     assert _PhaseCoeffs(spec, 1).source_exp == -spec.eta * spec.source_loss / 2.0
+
+
+def test_exp_bracket_series_matches_expm1_for_small_steps():
+    # every |tau D| below the 1e-5 switch, so only the series answers
+    tau = 0.05
+    d_exp = np.array([1e-4, -1e-4 + 1e-4j, 3e-6j, -2e-5 - 1e-7j, 1e-9, -1e-12j])
+    e, bracket = _exp_bracket(d_exp, tau)
+    assert np.all(np.abs(tau * d_exp) < 1e-5)
+    assert np.array_equal(e, np.exp(tau * d_exp))
+    np.testing.assert_allclose(bracket, np.expm1(tau * d_exp) / d_exp, rtol=1e-14, atol=0)
+    # D = 0 is the limit (e^{tau D} - 1)/D -> tau, exactly
+    e, bracket = _exp_bracket(np.array([0.0j, 1.0]), tau)
+    assert bracket[0] == tau
+    assert e[0] == 1.0
 
 
 # -- single-step / single-trajectory exactness -----------------------------------
@@ -525,6 +539,14 @@ def test_stability_scan_zero_kerr_row_is_fully_stable():
     lines = scan.to_csv().strip().split("\n")
     assert lines[0] == "f,kerr,convergent_fraction"
     assert len(lines) == 1 + 3 * 2
+
+
+def test_scan_point_where_every_trajectory_diverges_reads_zero(monkeypatch):
+    monkeypatch.setattr(dynamics, "DIVERGENCE_THRESHOLD", 1e-6)
+    # undriven and linear, the vacuum stays exactly 0; a drive pushes every row past 1e-6
+    scan = stability_scan(np.array([0.0, 1.0]), kerr_values=np.array([0.0]),
+                          trajectories=8, horizon=2.0, dt=0.05, seed=1)
+    assert scan.fraction.tolist() == [[1.0, 0.0]]
 
 
 def test_stability_scan_is_bit_identical_across_workers():

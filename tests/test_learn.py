@@ -1,6 +1,7 @@
 """Readout training: losses, gradients, fixtures, metrics, dataset pipeline."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +164,25 @@ def test_linear_targets_are_learned_exactly():
     assert evaluate(model, dataset, "train").mse < 1e-6
     assert evaluate(model, dataset, "test").mse < 1e-6
     assert curves.train_loss[-1] < curves.train_loss[0]
+
+
+def test_minibatch_adam_learns_linear_targets():
+    # every minibatch has the same exact fit, so sampled batches still reach it
+    rng = np.random.default_rng(7)
+    features = rng.standard_normal((80, 3))
+    targets = features @ np.array([0.4 - 0.2j, -0.3 + 0.5j, 0.1 + 0.1j]) + (0.2 - 0.3j)
+    dataset = regression_dataset(targets, features)       # 64 train records
+    hyper = Hyperparams(learning_rate=0.01, epochs=5000, batch_size=8, seed=2)
+    model, curves = train_regressor(dataset, hyper)
+    assert evaluate(model, dataset, "train").mse < 1e-6
+    assert evaluate(model, dataset, "test").mse < 1e-6
+    again = train_regressor(dataset, hyper)[1]
+    assert np.array_equal(curves.train_loss, again.train_loss)
+    # a batch of the whole split is full batch; eight records are not
+    full = train_regressor(dataset, replace(hyper, batch_size=None))[1]
+    whole = train_regressor(dataset, replace(hyper, batch_size=64))[1]
+    assert np.array_equal(full.train_loss, whole.train_loss)
+    assert not np.array_equal(curves.train_loss, full.train_loss)
 
 
 def test_adam_converges_to_the_least_squares_readout():

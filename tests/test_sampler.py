@@ -8,8 +8,8 @@ import pytest
 from conftest import plain_se
 from pplattice.errors import ConfigError
 from pplattice.oracle import build_state_fock, destroy, expect_occupation
-from pplattice.sampler import (SAMPLE_MAGIC, StateSpec, _cat_acceptance, _cat_round,
-                               cat_state, coherent_state,
+from pplattice.sampler import (SAMPLE_MAGIC, PhaseSampleSet, StateSpec, _cat_acceptance,
+                               _cat_round, cat_state, coherent_state,
                                estimate_moment, load_samples, mean_occupation,
                                sample_cat, sample_coherent, sample_squeezed_vacuum,
                                sample_state, sample_thermal, squeezed_state,
@@ -279,6 +279,34 @@ def test_occupation_moment_is_real_within_errors(state):
     samples = sample_state(state, 50_000, seed=13)
     value, se = estimate_moment(samples, 1, 1)
     assert abs(value.imag) < 3.0 * max(se, 1e-12)
+
+
+@pytest.mark.parametrize("count", [150, 199, 1099])
+def test_standard_errors_are_the_iid_ones(count):
+    # the draws are independent, so every one of them enters the error bar
+    samples = sample_squeezed_vacuum(1.0, 0.3, count, seed=21)
+    _, se = mean_occupation(samples)
+    assert se == pytest.approx(plain_se((samples.alpha * np.conj(samples.alpha_tilde)).real),
+                               rel=1e-12)
+    moment = samples.alpha ** 2 * np.conj(samples.alpha_tilde)
+    _, se = estimate_moment(samples, 2, 1)
+    assert se == pytest.approx(math.hypot(plain_se(moment.real), plain_se(moment.imag)),
+                               rel=1e-12)
+
+
+def test_standard_error_of_one_or_identical_samples_is_zero():
+    one = sample_squeezed_vacuum(1.0, 0.3, 1, seed=21)
+    assert mean_occupation(one)[1] == 0.0
+    assert estimate_moment(one, 2, 1)[1] == 0.0
+    # seven copies of 0.01 (or 0.001) do not average to exactly that value,
+    # yet the error is exactly zero
+    same = sample_coherent(0.1, 7)
+    assert mean_occupation(same)[1] == 0.0
+    assert estimate_moment(same, 2, 1)[1] == 0.0
+    empty = PhaseSampleSet(alpha=np.zeros(0, complex), alpha_tilde=np.zeros(0, complex))
+    for estimate in (mean_occupation, lambda s: estimate_moment(s, 1, 1)):
+        with pytest.raises(ConfigError, match="zero samples"):
+            estimate(empty)
 
 
 # -- serialization and validation ------------------------------------------------
